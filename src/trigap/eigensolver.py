@@ -4,7 +4,8 @@ Uniform midpoint refinement of a triangle produces elements similar to the
 parent, so local stiffness and mass matrices are exact closed forms and the
 discrete eigenvalues converge at second order from above.  Two consecutive
 refinement levels feed a Richardson extrapolation whose coarse/fine gap
-supplies a working error estimate.
+supplies a working error estimate.  Each level's iteration starts from the
+converged block of the level below, interpolated onto the finer lattice.
 
 The error bound is empirical (an asymptotic estimate with a safety factor),
 not a mathematically rigorous enclosure; every result carries it as such.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
 from .geometry import Triangle, diameter, gap_function
@@ -25,12 +26,15 @@ from .geometry import Triangle, diameter, gap_function
 __all__ = [
     "Mesh",
     "AssembledSystem",
+    "EigenPairs",
+    "LevelSolve",
     "Spectrum",
     "ConvergenceError",
     "build_mesh",
     "assemble",
     "smallest_eigenpairs",
     "solve_triangle",
+    "prolongate",
     "gap_with_error",
     "MAX_LEVEL",
     "THIN_APEX_HEIGHT",
@@ -39,7 +43,8 @@ __all__ = [
 #: Hard refinement cap (memory guard): 4**12 elements.
 MAX_LEVEL = 12
 
-#: Apex height below which a triangle is treated as thin (rate check enforced).
+#: Normalized apex height 2*area/diameter**2 at or below which a triangle is
+#: treated as thin (rate check enforced); in the chart this is ``apex_y``.
 THIN_APEX_HEIGHT = 0.05
 
 _DEGENERATE_AREA = 1e-14
@@ -54,16 +59,72 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Structured triangulation from uniform midpoint subdivision."""
+    """Uniform midpoint subdivision of a triangle, as a barycentric lattice.
 
-    vertices: np.ndarray
-    elements: np.ndarray
-    boundary: np.ndarray
+    Level L cuts each edge into n = 2**L segments.  Lattice node (i, j),
+    i, j >= 0, i + j <= n, sits at corners[0] + (i e1 + j e2) / n, where
+    e1, e2 run from corners[0] to the other two corners; nodes are numbered
+    row by row (i outer, j inner).  The n**2 elements are translates of the
+    up element (i,j), (i+1,j), (i,j+1) and of its point reflection, the down
+    element (i+1,j), (i+1,j+1), (i,j+1), so one local matrix serves all.
+    ``corners`` is positively oriented.
+    """
+
+    corners: np.ndarray
     level: int
 
     @property
+    def n(self) -> int:
+        return 2**self.level
+
+    @property
     def interior_count(self) -> int:
-        return int(np.count_nonzero(~self.boundary))
+        return (self.n - 1) * (self.n - 2) // 2
+
+    @property
+    def vertices(self) -> np.ndarray:
+        i_of, j_of, _ = _lattice_nodes(self.n)
+        v0, v1, v2 = self.corners
+        return v0 + np.outer(i_of, (v1 - v0) / self.n) + np.outer(j_of, (v2 - v0) / self.n)
+
+    @property
+    def boundary(self) -> np.ndarray:
+        i_of, j_of, _ = _lattice_nodes(self.n)
+        return (i_of == 0) | (j_of == 0) | (i_of + j_of == self.n)
+
+    @property
+    def elements(self) -> np.ndarray:
+        n = self.n
+        i_of, j_of, offsets = _lattice_nodes(n)
+
+        def idx(i, j):
+            return offsets[i] + j
+
+        up_mask = i_of + j_of <= n - 1
+        ui, uj = i_of[up_mask], j_of[up_mask]
+        up = np.column_stack([idx(ui, uj), idx(ui + 1, uj), idx(ui, uj + 1)])
+        down_mask = i_of + j_of <= n - 2
+        di, dj = i_of[down_mask], j_of[down_mask]
+        down = np.column_stack([idx(di + 1, dj), idx(di + 1, dj + 1), idx(di, dj + 1)])
+        return np.vstack([up, down]).astype(np.int32)
+
+
+def _lattice_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j) of every lattice node in numbering order, and each row's offset."""
+    i_of = np.repeat(np.arange(n + 1), np.arange(n + 1, 0, -1))
+    offsets = np.concatenate(([0], np.cumsum(np.arange(n + 1, 0, -1))))
+    return i_of, np.arange(i_of.size) - offsets[i_of], offsets
+
+
+def _interior_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of the interior lattice nodes, in lattice numbering order."""
+    i_of = np.repeat(np.arange(1, n - 1), np.arange(n - 2, 0, -1))
+    return i_of, np.arange(i_of.size) - _interior_offset(i_of, n) + 1
+
+
+def _interior_offset(i: np.ndarray, n: int) -> np.ndarray:
+    """Interior number of node (i, 1): rows 1..i-1 hold n-2, n-3, ... nodes."""
+    return (i - 1) * (n - 1) - (i - 1) * i // 2
 
 
 @dataclass(frozen=True)
@@ -89,7 +150,8 @@ class Spectrum:
     xi is diameter**2 * (lambda2 - lambda1); xi_error folds both eigenvalue
     error estimates through the same scaling.  ``accuracy_met`` is False when
     the level cap was reached before the target, or when a thin triangle's
-    observed convergence rate fell outside the trusted window.
+    observed convergence rate fell outside the trusted window.  ``solves``
+    records (level, unknowns, iterations) for every level solved.
     """
 
     eigenvalues: tuple[float, float]
@@ -100,6 +162,7 @@ class Spectrum:
     xi_error: float
     accuracy_met: bool
     rates: tuple[float, float] | None
+    solves: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self) -> None:
         l1, l2 = self.eigenvalues
@@ -122,6 +185,37 @@ class Spectrum:
         return (self.lambda2 - self.lambda1) > 10.0 * sum(self.error_bounds)
 
 
+class EigenPairs(list):
+    """The k requested (eigenvalue, eigenvector) pairs, ascending.
+
+    ``block`` holds every converged Ritz vector of the iteration as columns,
+    the pairs' vectors first, M-orthonormal; ``iterations`` counts the
+    inverse-iteration steps taken.
+    """
+
+    def __init__(self, pairs, block: np.ndarray, iterations: int) -> None:
+        super().__init__(pairs)
+        self.block = block
+        self.iterations = iterations
+
+
+class LevelSolve(tuple):
+    """Discrete eigenvalues of one level, ascending, plus how they were found.
+
+    Indexes as the plain tuple of eigenvalues.  ``block`` is the converged
+    Ritz block (see ``EigenPairs``), the start for the next level through
+    ``prolongate``.
+    """
+
+    def __new__(cls, values, level: int, unknowns: int, iterations: int, block: np.ndarray):
+        self = super().__new__(cls, values)
+        self.level = level
+        self.unknowns = unknowns
+        self.iterations = iterations
+        self.block = block
+        return self
+
+
 def _as_vertices(triangle) -> np.ndarray:
     if isinstance(triangle, Triangle):
         v = np.asarray(triangle.vertices, dtype=float)
@@ -132,82 +226,107 @@ def _as_vertices(triangle) -> np.ndarray:
     return v
 
 
+def _signed_area(v: np.ndarray) -> float:
+    """Signed area of the vertex triple; rejects degenerate triangles."""
+    e1, e2 = v[1] - v[0], v[2] - v[0]
+    signed = 0.5 * float(e1[0] * e2[1] - e1[1] * e2[0])
+    if abs(signed) < _DEGENERATE_AREA:
+        raise ValueError(f"degenerate triangle, area {abs(signed):.3e}")
+    return signed
+
+
 def build_mesh(triangle, level: int) -> Mesh:
     """Subdivide a triangle into 4**level congruence classes of itself.
 
-    Vertices are laid out in barycentric rows; boundary nodes are those on
-    any edge of the parent.  Positive orientation is enforced by swapping
-    two vertices if the input is clockwise.
+    Positive orientation is enforced by swapping two vertices if the input
+    is clockwise.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {level}")
     v = _as_vertices(triangle)
-    e1, e2 = v[1] - v[0], v[2] - v[0]
-    signed = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
-    if abs(signed) < _DEGENERATE_AREA:
-        raise ValueError(f"degenerate triangle, area {abs(signed):.3e}")
-    if signed < 0.0:
+    if _signed_area(v) < 0.0:
         v = v[[0, 2, 1]]
-
-    n = 2**level
-    # Row i holds lattice points (i, j), j = 0..n-i, at v0 + (i e1 + j e2)/n.
-    i_of = np.repeat(np.arange(n + 1), np.arange(n + 1, 0, -1))
-    offsets = np.concatenate(([0], np.cumsum(np.arange(n + 1, 0, -1))))
-    j_of = np.arange(i_of.size) - offsets[i_of]
-    e1 = (v[1] - v[0]) / n
-    e2 = (v[2] - v[0]) / n
-    vertices = v[0] + np.outer(i_of, e1) + np.outer(j_of, e2)
-    boundary = (i_of == 0) | (j_of == 0) | (i_of + j_of == n)
-
-    def idx(i, j):
-        return offsets[i] + j
-
-    up_mask = i_of + j_of <= n - 1
-    ui, uj = i_of[up_mask], j_of[up_mask]
-    up = np.column_stack([idx(ui, uj), idx(ui + 1, uj), idx(ui, uj + 1)])
-    down_mask = i_of + j_of <= n - 2
-    di, dj = i_of[down_mask], j_of[down_mask]
-    down = np.column_stack([idx(di + 1, dj), idx(di + 1, dj + 1), idx(di, dj + 1)])
-    elements = np.vstack([up, down]).astype(np.int32)
-    return Mesh(vertices=vertices, elements=elements, boundary=boundary, level=level)
+    return Mesh(corners=v, level=level)
 
 
 def assemble(mesh: Mesh) -> AssembledSystem:
-    """Closed-form P1 assembly with Dirichlet elimination of boundary nodes."""
-    interior = np.where(~mesh.boundary)[0]
-    if interior.size == 0:
+    """Closed-form P1 assembly on the interior nodes, from the 7-point stencil.
+
+    Every interior node meets three up and three down elements, so its row
+    couples it to the six lattice neighbours (i±1, j), (i, j±1), (i+1, j-1)
+    and (i-1, j+1).  Each edge is shared by one up and one down element, in
+    which it plays the same role, so an off-diagonal entry is twice the up
+    element's local entry; the diagonal is the sum of all three roles, twice.
+    Boundary nodes carry the Dirichlet condition and are left out.
+    """
+    n = mesh.n
+    if n < 3:
         raise ValueError("mesh has no interior vertices; refine further")
-
-    pts = mesh.vertices[mesh.elements]
+    v0, v1, v2 = mesh.corners
+    pts = np.array([[0.0, 0.0], (v1 - v0) / n, (v2 - v0) / n])
     # Edge-opposite gradient coefficients: grad(lambda_k) = (b_k, c_k)/(2A).
-    b = pts[:, [1, 2, 0], 1] - pts[:, [2, 0, 1], 1]
-    c = pts[:, [2, 0, 1], 0] - pts[:, [1, 2, 0], 0]
-    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
-    # b, c come from a positively oriented mesh, so area > 0 elementwise.
-    k_local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
-        4.0 * area[:, None, None]
+    b = pts[[1, 2, 0], 1] - pts[[2, 0, 1], 1]
+    c = pts[[2, 0, 1], 0] - pts[[1, 2, 0], 0]
+    element_area = 0.5 * (b[0] * c[1] - b[1] * c[0])
+    k_up = (np.outer(b, b) + np.outer(c, c)) / (4.0 * element_area)
+    m_up = element_area * (np.ones((3, 3)) + np.eye(3)) / 12.0
+
+    # (di, dj, stiffness, mass) in ascending column order within a row; the
+    # up element's edges run along e1 (vertices 0-1), e2 (0-2) and e2 - e1 (1-2)
+    k_e1, k_e2, k_e3 = 2.0 * k_up[0, 1], 2.0 * k_up[0, 2], 2.0 * k_up[1, 2]
+    m_edge = 2.0 * m_up[0, 1]
+    stencil = (
+        (-1, 0, k_e1, m_edge),
+        (-1, 1, k_e3, m_edge),
+        (0, -1, k_e2, m_edge),
+        (0, 0, 2.0 * np.trace(k_up), 6.0 * m_up[0, 0]),
+        (0, 1, k_e2, m_edge),
+        (1, -1, k_e3, m_edge),
+        (1, 0, k_e1, m_edge),
     )
-    m_pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    m_local = area[:, None, None] * m_pattern
-
-    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, 3)).ravel()
-    nv = mesh.vertices.shape[0]
-    stiffness = coo_matrix(
-        (k_local.ravel(), (rows, cols)), shape=(nv, nv)
-    ).tocsr()
-    mass = coo_matrix((m_local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-    mass_total = float(mass.sum())
-
-    k_int = stiffness[interior][:, interior]
-    m_int = mass[interior][:, interior]
+    ii, jj = _interior_nodes(n)
+    di, dj, k_vals, m_vals = (np.array(col) for col in zip(*stencil))
+    ni, nj = ii[:, None] + di, jj[:, None] + dj
+    present = (ni >= 1) & (nj >= 1) & (ni + nj <= n - 1)
+    ni, nj = ni[present], nj[present]
+    indices = (_interior_offset(ni, n) + nj - 1).astype(np.int32)
+    indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1)))).astype(np.int32)
+    shape = (ii.size, ii.size)
+    stiffness = csr_matrix(
+        (np.broadcast_to(k_vals, present.shape)[present], indices, indptr), shape=shape
+    )
+    mass = csr_matrix(
+        (np.broadcast_to(m_vals, present.shape)[present], indices, indptr), shape=shape
+    )
+    # Each of the n**2 elements adds its local row sums to its three vertices.
+    mass_total = float(n * n * m_up.sum())
     return AssembledSystem(
-        stiffness=k_int,
-        mass=m_int,
-        interior_index=interior,
+        stiffness=stiffness,
+        mass=mass,
+        interior_index=np.flatnonzero(~mesh.boundary),
         mass_total=mass_total,
-        area=float(np.sum(area)),
+        area=abs(_signed_area(mesh.corners)),
     )
+
+
+def prolongate(block: np.ndarray, level: int) -> np.ndarray:
+    """P1 interpolation of interior-node vectors from ``level`` to ``level + 1``.
+
+    Coarse node (i, j) becomes fine node (2i, 2j); every other fine node is
+    the midpoint of a coarse edge and takes the mean of its two ends, which
+    are zero on the boundary.  The coarse space is nested in the fine one, so
+    M-inner products between the columns are kept.
+    """
+    n = 2**level
+    ci, cj = _interior_nodes(n)
+    coarse = np.zeros((n + 1, n + 1, block.shape[1]))
+    coarse[ci, cj] = block
+    fine = np.zeros((2 * n + 1, 2 * n + 1, block.shape[1]))
+    fine[::2, ::2] = coarse
+    fine[1::2, ::2] = 0.5 * (coarse[:-1] + coarse[1:])
+    fine[::2, 1::2] = 0.5 * (coarse[:, :-1] + coarse[:, 1:])
+    fine[1::2, 1::2] = 0.5 * (coarse[:-1, 1:] + coarse[1:, :-1])
+    return fine[_interior_nodes(2 * n)]
 
 
 def smallest_eigenpairs(
@@ -216,13 +335,16 @@ def smallest_eigenpairs(
     tol: float = 1e-10,
     max_iterations: int = 10000,
     shift: float = 0.0,
-) -> list[tuple[float, np.ndarray]]:
+    start: np.ndarray | None = None,
+) -> EigenPairs:
     """k smallest eigenpairs of K v = lambda M v by block inverse iteration.
 
-    The matrix K - shift*M is factorized once; the block is
+    The matrix K - shift*M is factorized once; the block of k+3 vectors is
     M-orthonormalized each step and reduced by Rayleigh-Ritz.  Vectors are
-    returned M-orthonormal.  A fixed seed makes the iteration deterministic.
-    Raises ConvergenceError if the residual tolerance is not met within the
+    returned M-orthonormal.  The iteration starts from the columns of
+    ``start`` (at most k+3 are used), filled up with seeded noise, so the
+    result is a deterministic function of the system and the start.  Raises
+    ConvergenceError if the residual tolerance is not met within the
     iteration cap; never returns a silently unconverged answer.
 
     A shift strictly below the first eigenvalue keeps the factorization
@@ -233,12 +355,14 @@ def smallest_eigenpairs(
     n = system.stiffness.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    if start is not None and start.shape[0] != n:
+        raise ValueError(f"start block has {start.shape[0]} rows, system has {n}")
     try:
-        return _block_inverse_iteration(system, k, tol, max_iterations, shift)
+        return _block_inverse_iteration(system, k, tol, max_iterations, shift, start)
     except (ConvergenceError, np.linalg.LinAlgError, RuntimeError):
         if shift == 0.0:
             raise
-        return _block_inverse_iteration(system, k, tol, max_iterations, 0.0)
+        return _block_inverse_iteration(system, k, tol, max_iterations, 0.0, start)
 
 
 def _block_inverse_iteration(
@@ -247,7 +371,8 @@ def _block_inverse_iteration(
     tol: float,
     max_iterations: int,
     shift: float,
-) -> list[tuple[float, np.ndarray]]:
+    start: np.ndarray | None,
+) -> EigenPairs:
     n = system.stiffness.shape[0]
     kk = system.stiffness
     mm = system.mass
@@ -260,9 +385,12 @@ def _block_inverse_iteration(
         options={"SymmetricMode": True},
     )
     rng = np.random.default_rng(0)
-    v = rng.standard_normal((n, block))
+    width = 0 if start is None else min(start.shape[1], block)
+    v = rng.standard_normal((n, block - width))
+    if width:
+        v = np.hstack([start[:, :width], v])
     theta = np.zeros(block)
-    for _ in range(max_iterations):
+    for iteration in range(1, max_iterations + 1):
         w = lu.solve(mm @ v)
         gram = w.T @ (mm @ w)
         chol = np.linalg.cholesky(gram)
@@ -275,25 +403,42 @@ def _block_inverse_iteration(
         resid = kv - mm @ v[:, :k] * theta[:k]
         ok = np.linalg.norm(resid, axis=0) <= tol * np.linalg.norm(kv, axis=0)
         if bool(np.all(ok)):
-            return [(float(theta[i]), v[:, i].copy()) for i in range(k)]
+            pairs = [(float(theta[i]), v[:, i].copy()) for i in range(k)]
+            return EigenPairs(pairs, block=v, iterations=iteration)
     raise ConvergenceError(
         f"residual tolerance {tol} not reached in {max_iterations} iterations"
     )
 
 
 def solve_triangle(
-    triangle, level: int, k: int = 2, tol: float = 1e-10, shift: float = 0.0
-) -> tuple[float, ...]:
-    """Discrete k smallest Dirichlet eigenvalues at one refinement level."""
+    triangle,
+    level: int,
+    k: int = 2,
+    tol: float = 1e-10,
+    shift: float = 0.0,
+    start: np.ndarray | None = None,
+) -> LevelSolve:
+    """Discrete k smallest Dirichlet eigenvalues at one refinement level.
+
+    ``start`` is an initial block on this level's interior nodes, usually
+    the previous level's block through ``prolongate``.
+    """
     system = assemble(build_mesh(triangle, level))
-    return tuple(
-        value for value, _ in smallest_eigenpairs(system, k, tol=tol, shift=shift)
+    pairs = smallest_eigenpairs(system, k, tol=tol, shift=shift, start=start)
+    return LevelSolve(
+        (value for value, _ in pairs),
+        level=level,
+        unknowns=system.stiffness.shape[0],
+        iterations=pairs.iterations,
+        block=pairs.block,
     )
 
 
 def _richardson(coarse: float, fine: float) -> tuple[float, float]:
     # Second-order convergence: the remaining fine-level error is one third
-    # of the observed level difference; safety factor 2 on top.
+    # of the observed level difference, so R = fine + (fine - coarse)/3.  The
+    # bar 2|fine - R| is twice that error scale of the un-extrapolated fine
+    # value, which over-covers the error of R itself.
     extrapolated = fine + (fine - coarse) / 3.0
     err = max(2.0 * abs(fine - extrapolated), 1e-15)
     return extrapolated, err
@@ -311,25 +456,33 @@ def gap_with_error(
     Refines until the Richardson error estimate on xi meets the target or the
     level cap is reached (the result is then flagged ``accuracy_met=False``
     and must not be used to certify anything).  Thin triangles additionally
-    require the observed convergence rate to stay near second order.
+    require the observed convergence rate to stay near second order.  The
+    result depends only on the triangle's shape, size and the arguments, not
+    on how its vertices are given.
     """
     if target <= 0.0:
         raise ValueError("target accuracy must be positive")
-    tri = triangle if isinstance(triangle, Triangle) else None
     verts = _as_vertices(triangle)
-    apex_y = tri.apex_y if tri is not None else None
-    thin = apex_y is not None and apex_y <= THIN_APEX_HEIGHT
+    d = diameter(triangle) if isinstance(triangle, Triangle) else _vertex_diameter(verts)
+    thin = 2.0 * abs(_signed_area(verts)) / (d * d) <= THIN_APEX_HEIGHT
     cap = max_level if max_level is not None else (11 if thin else 10)
     cap = min(cap, MAX_LEVEL)
     if cap < min_level + 1:
         raise ValueError("level cap leaves no room for two consecutive solves")
 
-    d = diameter(tri) if tri is not None else _vertex_diameter(verts)
     history: list[tuple[float, float]] = []
+    solves: list[tuple[int, int, int]] = []
     spectrum: Spectrum | None = None
     shift = 0.0
+    block = None
     for level in range(min_level, cap + 1):
-        history.append(solve_triangle(verts, level, k=2, tol=tol, shift=shift))
+        # only the Ritz block crosses levels: the coarse mesh, system and
+        # factor are gone before this level assembles
+        start = None if block is None else prolongate(block, level - 1)
+        solved = solve_triangle(verts, level, k=2, tol=tol, shift=shift, start=start)
+        block = solved.block
+        history.append(tuple(solved))
+        solves.append((level, solved.unknowns, solved.iterations))
         if len(history) < 2:
             continue
         coarse, fine = history[-2], history[-1]
@@ -353,6 +506,7 @@ def gap_with_error(
             xi_error=xi_error,
             accuracy_met=met,
             rates=rates,
+            solves=tuple(solves),
         )
         if met:
             break

@@ -1,16 +1,19 @@
 """Finite element eigensolver tests.
 
-Independent oracles: exact Dirichlet spectra for the right isosceles
-triangle (half of a unit square) and for the equilateral triangle, plus a
-hand-assembled level-2 stiffness and mass matrix for the unit right
-triangle.
+Independent oracles: exact Dirichlet spectra for the right isosceles,
+equilateral and 30-60-90 triangles, a hand-assembled level-2 stiffness and
+mass matrix for the unit right triangle, an element-by-element reference
+assembly, and cold-started solves for the warm-started refinement ladder.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix
 
+from trigap import eigensolver
 from trigap.eigensolver import (
     MAX_LEVEL,
     THIN_APEX_HEIGHT,
@@ -19,6 +22,7 @@ from trigap.eigensolver import (
     assemble,
     build_mesh,
     gap_with_error,
+    prolongate,
     smallest_eigenpairs,
     solve_triangle,
 )
@@ -211,3 +215,130 @@ def test_spectrum_validation():
             accuracy_met=True,
             rates=(4.0, 4.0),
         )
+
+
+def _elementwise_assembly(mesh):
+    """Reference P1 assembly: per-element local matrices summed over all
+    nodes, then restricted to the interior."""
+    pts = mesh.vertices[mesh.elements]
+    b = pts[:, [1, 2, 0], 1] - pts[:, [2, 0, 1], 1]
+    c = pts[:, [2, 0, 1], 0] - pts[:, [1, 2, 0], 0]
+    area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    k_local = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (
+        4.0 * area[:, None, None]
+    )
+    m_local = area[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
+    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, 3)).ravel()
+    nv = mesh.vertices.shape[0]
+    interior = np.flatnonzero(~mesh.boundary)
+    k = coo_matrix((k_local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    m = coo_matrix((m_local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    return k[interior][:, interior], m[interior][:, interior], float(m.sum())
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        ((0.0, 0.0), (1.0, 0.0), (0.3, 0.7)),
+        ((0.0, 0.0), (0.2, 0.9), (1.0, 0.0)),  # clockwise
+        ((1.5, -0.5), (0.0, 0.1), (2.5, 0.4)),  # obtuse
+    ],
+)
+def test_stencil_assembly_matches_elementwise_reference(vertices):
+    mesh = build_mesh(vertices, 4)
+    system = assemble(mesh)
+    k_ref, m_ref, mass_total_ref = _elementwise_assembly(mesh)
+    scale_k = abs(k_ref).max()
+    scale_m = abs(m_ref).max()
+    assert abs(system.stiffness - k_ref).max() <= 1e-12 * scale_k
+    assert abs(system.mass - m_ref).max() <= 1e-12 * scale_m
+    assert system.mass_total == pytest.approx(mass_total_ref, rel=1e-12)
+    assert np.array_equal(system.interior_index, np.flatnonzero(~mesh.boundary))
+
+
+def test_prolongation_is_the_nested_space_embedding():
+    # P1 spaces on nested lattices: K_coarse = P^T K_fine P and likewise M
+    tri = ((0.0, 0.0), (1.0, 0.0), (0.3, 0.7))
+    coarse, fine = assemble(build_mesh(tri, 3)), assemble(build_mesh(tri, 4))
+    p = prolongate(np.eye(coarse.stiffness.shape[0]), 3)
+    assert p.shape == (fine.stiffness.shape[0], coarse.stiffness.shape[0])
+    for c, f in ((coarse.stiffness, fine.stiffness), (coarse.mass, fine.mass)):
+        galerkin = p.T @ (f @ p)
+        assert np.allclose(galerkin, c.toarray(), rtol=0.0, atol=1e-12 * abs(c).max())
+
+
+@pytest.mark.parametrize("apex", [EQUILATERAL_APEX, (0.5, 0.8647)])
+def test_warm_started_ladder_matches_cold_solves(apex, monkeypatch):
+    def ladder():
+        solved = []
+        solve = eigensolver.solve_triangle
+
+        def recording(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(eigensolver, "solve_triangle", recording)
+            spectrum = gap_with_error(Triangle(*apex), 1e-12, max_level=7)
+        return spectrum, solved
+
+    spectrum, warm = ladder()
+    # with no prolongation every level starts from seeded noise
+    monkeypatch.setattr(eigensolver, "prolongate", lambda block, level: None)
+    cold_spectrum, cold = ladder()
+
+    assert spectrum.solves == tuple((s.level, s.unknowns, s.iterations) for s in warm)
+    assert [s.level for s in warm] == [s.level for s in cold] == [4, 5, 6, 7]
+    for w, c in zip(warm, cold):
+        assert w == pytest.approx(c, rel=1e-11, abs=0.0)
+        if w.level >= 6:
+            assert w.iterations < c.iterations
+    assert spectrum.levels == cold_spectrum.levels
+    assert spectrum.xi == pytest.approx(cold_spectrum.xi, rel=1e-11)
+
+
+def test_thin_gate_ignores_how_vertices_are_given():
+    tri = Triangle(0.5, 0.04)
+    v = np.array(tri.vertices)
+    c, s = math.cos(0.7), math.sin(0.7)
+    moved = v @ np.array([[c, s], [-s, c]]) + (2.0, -1.0)
+    variants = [tri, tri.vertices, moved, v[[2, 0, 1]]]
+    results = [gap_with_error(x, 1e4, max_level=7) for x in variants]
+    # the rate gate refuses to certify a thin triangle from coarse levels
+    assert not results[0].accuracy_met
+    assert results[0].levels == (6, 7)
+    for r in results[1:]:
+        assert r.accuracy_met == results[0].accuracy_met
+        assert r.levels == results[0].levels
+        assert r.rates == pytest.approx(results[0].rates, rel=1e-8)
+
+
+_CLOSED_FORM = {
+    "equilateral": (EQUILATERAL_APEX, (LAMBDA1, LAMBDA2)),
+    "30-60-90": ((0.75, math.sqrt(3.0) / 4.0), (112 * math.pi**2 / 9, 208 * math.pi**2 / 9)),
+    "right isosceles": ((0.0, 1.0), (5.0 * math.pi**2, 10.0 * math.pi**2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM))
+@settings(max_examples=2, deadline=None, derandomize=True)
+@given(
+    angle=st.floats(0.0, 2.0 * math.pi),
+    shift=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    scale=st.floats(0.25, 4.0),
+    order=st.permutations([0, 1, 2]),
+)
+def test_error_bounds_enclose_closed_form_spectra(name, angle, shift, scale, order):
+    apex, exact = _CLOSED_FORM[name]
+    c, s = math.cos(angle), math.sin(angle)
+    base = np.array(Triangle(*apex).vertices)[order]
+    vertices = scale * base @ np.array([[c, s], [-s, c]]) + shift
+    exact = tuple(lam / scale**2 for lam in exact)
+    for cap in range(5, 9):
+        spectrum = gap_with_error(vertices, 1e-12, max_level=cap)
+        assert spectrum.levels == (cap - 1, cap)
+        for lam, err, ref in zip(spectrum.eigenvalues, spectrum.error_bounds, exact):
+            assert abs(lam - ref) <= err
+        exact_xi = spectrum.diameter**2 * (exact[1] - exact[0])
+        assert abs(spectrum.xi - exact_xi) <= spectrum.xi_error

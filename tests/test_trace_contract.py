@@ -1,0 +1,37 @@
+"""The call path the benchmark's tracer records.
+
+The traced benchmark run swaps the module attributes of
+``trigap.eigensolver`` for timing wrappers, so every refinement level of
+``gap_with_error`` must pass through ``solve_triangle(verts, level, ...)``,
+which reaches ``build_mesh`` (result with ``.level``), ``assemble`` (result
+with ``.stiffness``) and ``smallest_eigenpairs`` by attribute lookup.
+"""
+
+from trigap import eigensolver
+from trigap.geometry import Triangle
+
+LAYERS = ("solve_triangle", "build_mesh", "assemble", "smallest_eigenpairs")
+
+
+def test_every_level_passes_through_the_traced_attributes(monkeypatch):
+    calls = {name: [] for name in LAYERS}
+    for name in LAYERS:
+        original = getattr(eigensolver, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            result = _original(*args, **kwargs)
+            calls[_name].append((args, result))
+            return result
+
+        monkeypatch.setattr(eigensolver, name, counted)
+
+    spectrum = eigensolver.gap_with_error(Triangle(0.5, 0.6), 0.5)
+
+    levels = list(range(4, spectrum.levels[1] + 1))
+    assert len(levels) >= 2
+    assert [args[1] for args, _ in calls["solve_triangle"]] == levels
+    assert [mesh.level for _, mesh in calls["build_mesh"]] == levels
+    unknowns = [(2**L - 1) * (2**L - 2) // 2 for L in levels]
+    assert [system.stiffness.shape[0] for _, system in calls["assemble"]] == unknowns
+    assert len(calls["smallest_eigenpairs"]) == len(levels)
+    assert [solve[:2] for solve in spectrum.solves] == list(zip(levels, unknowns))
