@@ -272,10 +272,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         try:
             with open(args.out, "r", encoding="utf-8") as fh:
-                prior_cells = cells_from_csv(fh.read())
+                prior_text = fh.read()
         except OSError:
-            prior_cells = ()
-        if len(prior_cells) != resume_state.cells_emitted:
+            prior_text = ""
+        prior_cells = cells_from_csv(prior_text)
+        # A run killed between a row's cells and its snapshot leaves the
+        # first cells of row state.j past the count; those are dropped.
+        extra = prior_cells[resume_state.cells_emitted :]
+        if extra and [(c.j, c.i) for c in extra] == [
+            (resume_state.j, i) for i in range(len(extra))
+        ]:
+            lines = prior_text.splitlines(keepends=True)
+            header = CSV_COLUMNS[0] + ","
+            data = [k for k, line in enumerate(lines) if line.strip()]
+            data = [k for k in data if not lines[k].lstrip().startswith(header)]
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write("".join(lines[: data[resume_state.cells_emitted]]))
+            prior_cells = prior_cells[: resume_state.cells_emitted]
+            print(
+                f"note: dropped {len(extra)} cells of unfinished row "
+                f"{resume_state.j} from {args.out}",
+                file=sys.stderr,
+            )
+        elif len(prior_cells) != resume_state.cells_emitted:
             print(
                 f"error: state file says {resume_state.cells_emitted} cells but "
                 f"{args.out} holds {len(prior_cells)}",
@@ -293,8 +312,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         out_fh.flush()
 
     def state_sink(state: SweepState) -> None:
-        with open(state_path, "w", encoding="utf-8") as fh:
+        # write then rename, so a kill never leaves a truncated state file
+        with open(state_path + ".tmp", "w", encoding="utf-8") as fh:
             fh.write(state.to_text())
+        os.replace(state_path + ".tmp", state_path)
 
     try:
         result = run_sweep(

@@ -24,7 +24,8 @@ ball, complement of the region) leave no point of the window uncovered.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -411,83 +412,71 @@ def _advance(pos: float, t: float, limit: float) -> float:
     return nxt
 
 
-def _row_continues(
-    nx: float, y: float, window: SweepWindow, policy: SweepPolicy
-) -> bool:
-    """Step-3 checks on the advanced position plus the window bound."""
-    if nx > window.x1:
+def _in_region(x: float, y: float, window: SweepWindow, policy: SweepPolicy) -> bool:
+    """Whether a cell at (x, y) lies in the window, in the unit disc and
+    outside the exclusion ball: the check on every advanced cell and seed."""
+    if x > window.x1 or y > window.y1:
         return False
-    if nx * nx + y * y > 1.0:
-        return False
-    ex, ey = EQUILATERAL_APEX
-    if math.hypot(nx - ex, y - ey) <= policy.exclusion_radius:
-        return False
-    return True
-
-
-def _seed_allowed(y: float, window: SweepWindow, policy: SweepPolicy) -> bool:
-    """Step-4 checks on a prospective row seed plus the window bound."""
-    if y > window.y1:
-        return False
-    x0 = window.x0
-    if x0 * x0 + y * y > 1.0:
+    if x * x + y * y > 1.0:
         return False
     ex, ey = EQUILATERAL_APEX
-    if math.hypot(x0 - ex, y - ey) <= policy.exclusion_radius:
-        return False
-    return True
+    return math.hypot(x - ex, y - ey) > policy.exclusion_radius
 
 
 def _certify_row(
     j: int,
     y: float,
+    x: float,
+    i: int,
     window: SweepWindow,
     policy: SweepPolicy,
     solver: Solver,
-    sink: Callable[[CertifiedCell], None] | None,
 ) -> tuple[list[CertifiedCell], SweepFailure | None]:
+    """Certify row j from cell i at x rightwards until it leaves the region.
+
+    Returns the cells certified and the failure that ended the row early,
+    if any.
+    """
     cells: list[CertifiedCell] = []
-    x = window.x0
-    i = 0
-    while True:
+    while _in_region(x, y, window, policy):
         try:
             cell = _certify_cell(j, i, x, y, policy, solver)
         except SweepFailure as failure:
             return cells, failure
         cells.append(cell)
-        if sink is not None:
-            sink(cell)
-        nx = _advance(x, cell.t_radius, window.x1)
-        if not _row_continues(nx, y, window, policy):
-            return cells, None
-        x = nx
+        x = _advance(x, cell.t_radius, window.x1)
         i += 1
+    return cells, None
 
 
-def _row_tail(
-    j: int,
-    y: float,
-    seed: CertifiedCell,
-    window: SweepWindow,
-    policy: SweepPolicy,
-    solver: Solver,
-) -> tuple[list[CertifiedCell], SweepFailure | None]:
-    cells: list[CertifiedCell] = []
-    x = _advance(window.x0, seed.t_radius, window.x1)
-    if not _row_continues(x, y, window, policy):
-        return cells, None
-    i = 1
-    while True:
+@dataclass
+class _Row:
+    """A started row: the solve of its seed, then of the rest of the row."""
+
+    j: int
+    y: float
+    seed: Future
+    rest: Future | None = None  # submitted once the seed is in
+
+    def seed_in(self) -> bool:
+        """Whether the seed is certified and the rest of the row not started."""
+        if self.rest is not None or not self.seed.done():
+            return False
+        return self.seed.exception() is None
+
+    def done(self) -> bool:
+        """Whether the row is finished: the rest is done, or the seed failed."""
+        if self.rest is not None:
+            return self.rest.done()
+        return self.seed.done() and self.seed.exception() is not None
+
+    def result(self) -> tuple[list[CertifiedCell], SweepFailure | None]:
         try:
-            cell = _certify_cell(j, i, x, y, policy, solver)
+            seed = self.seed.result()
         except SweepFailure as failure:
-            return cells, failure
-        cells.append(cell)
-        nx = _advance(x, cell.t_radius, window.x1)
-        if not _row_continues(nx, y, window, policy):
-            return cells, None
-        x = nx
-        i += 1
+            return [], failure
+        rest, failure = self.rest.result()
+        return [seed, *rest], failure
 
 
 def _validate_start(window: SweepWindow) -> None:
@@ -513,199 +502,95 @@ def run_sweep(
     Rows are walked bottom-up; each row left to right.  Advances that would
     overshoot a window edge land one final cell (or row) on the edge itself,
     which keeps the union of certified discs over the whole rectangle.
-    With threads > 1 the
-    seed column is computed first (its y-advance is sequential by nature) and
-    row tails fan out to a thread pool; the emitted cell order is canonical
-    (sorted by (j, i)) either way, so the output is thread-count invariant.
+
+    A row's height depends only on the seed (first cell) of the row below,
+    so the sweep runs as a pipeline on a pool of ``threads`` workers: the
+    next seed is solved while the rows below it finish, and at most
+    ``threads`` rows are in flight past the last emitted one.  With one
+    thread the solves run strictly in order: seed, rest of the row, next
+    seed.  At any thread count a row goes out as soon as it and every row
+    below it are done: its cells to ``sink`` in (j, i) order, then a
+    snapshot of the state after it to ``state_sink``.  Output and snapshots
+    are therefore independent of the thread count, and a run killed at any
+    point resumes from its last snapshot to the same final output.
 
     max_rows and max_cells stop the run at the next row boundary, leaving a
-    resumable state ("budget" result).  A cell whose gap margin cannot be
+    resumable state ("budget" result); rows already in flight past the stop
+    are cancelled or discarded.  A cell whose gap margin cannot be
     certified, or whose digit-accuracy rule cannot be met, ends the run with
     reason "failed" and the offending cell recorded.
     """
     policy = policy if policy is not None else SweepPolicy()
-    active_solver = solver if solver is not None else _default_solver
+    solver = solver if solver is not None else _default_solver
     if threads < 1:
         raise ValueError("threads must be at least 1")
     _validate_start(window)
 
-    if resume_from is not None:
-        if resume_from.status == "complete":
-            return SweepResult(
-                cells=(), state=replace(resume_from), reason="complete"
-            )
-        j = resume_from.j
-        y = resume_from.y
-        count = resume_from.cells_emitted
-        seed_radius = resume_from.seed_radius
+    if resume_from is None:
+        state = SweepState(x=window.x0, y=window.y0)
+    elif resume_from.status == "complete":
+        return SweepResult(cells=(), state=replace(resume_from), reason="complete")
     else:
-        j, y, count, seed_radius = 0, window.y0, 0, 0.0
-
-    state = SweepState(
-        j=j, i=0, x=window.x0, y=y, seed_radius=seed_radius, cells_emitted=count
-    )
-
-    if threads == 1:
-        return _run_sequential(
-            window, policy, active_solver, sink, state_sink, state, max_rows, max_cells
-        )
-    return _run_threaded(
-        window,
-        policy,
-        active_solver,
-        sink,
-        state_sink,
-        state,
-        threads,
-        max_rows,
-        max_cells,
-    )
-
-
-def _finalize(
-    cells: list[CertifiedCell],
-    state: SweepState,
-    reason: str,
-    failure: SweepFailure | None,
-    state_sink: Callable[[SweepState], None] | None,
-) -> SweepResult:
-    if reason == "complete":
-        state.status = "complete"
-    elif reason == "failed":
-        state.status = "failed"
-        state.failure = str(failure)
-    else:
-        state.status = "running"
-    if state_sink is not None:
-        state_sink(state)
-    return SweepResult(
-        cells=tuple(cells), state=state, reason=reason, failure=failure
-    )
-
-
-def _run_sequential(
-    window: SweepWindow,
-    policy: SweepPolicy,
-    solver: Solver,
-    sink: Callable[[CertifiedCell], None] | None,
-    state_sink: Callable[[SweepState], None] | None,
-    state: SweepState,
-    max_rows: int | None,
-    max_cells: int | None,
-) -> SweepResult:
+        state = replace(resume_from, i=0, x=window.x0, status="running", failure="")
+    first_j = state.j
     cells: list[CertifiedCell] = []
-    rows_done = 0
-    while True:
-        if not _seed_allowed(state.y, window, policy):
-            return _finalize(cells, state, "complete", None, state_sink)
-        if max_rows is not None and rows_done >= max_rows:
-            return _finalize(cells, state, "budget", None, state_sink)
-        if max_cells is not None and state.cells_emitted >= max_cells:
-            return _finalize(cells, state, "budget", None, state_sink)
-        row_cells, failure = _certify_row(
-            state.j, state.y, window, policy, solver, sink
-        )
-        cells.extend(row_cells)
-        state.cells_emitted += len(row_cells)
-        if failure is not None:
-            return _finalize(cells, state, "failed", failure, state_sink)
-        state.seed_radius = row_cells[0].t_radius
-        state.y = _advance(state.y, state.seed_radius, window.y1)
-        state.j += 1
-        rows_done += 1
+    rows: deque[_Row] = deque()  # started and not yet emitted, lowest first
+    # (j, y) of the next row to start, known once the seed below it is in
+    upcoming: tuple[int, float] | None = (state.j, state.y)
+
+    def startable(j: int, y: float) -> bool:
+        in_budget = max_rows is None or j - first_j < max_rows
+        return in_budget and _in_region(window.x0, y, window, policy)
+
+    def finish(reason: str, failure: SweepFailure | None = None) -> SweepResult:
+        state.status = "running" if reason == "budget" else reason
+        state.failure = "" if failure is None else str(failure)
         if state_sink is not None:
-            state_sink(replace(state))
+            state_sink(state)
+        return SweepResult(tuple(cells), state, reason, failure)
 
-
-def _run_threaded(
-    window: SweepWindow,
-    policy: SweepPolicy,
-    solver: Solver,
-    sink: Callable[[CertifiedCell], None] | None,
-    state_sink: Callable[[SweepState], None] | None,
-    state: SweepState,
-    threads: int,
-    max_rows: int | None,
-    max_cells: int | None,
-) -> SweepResult:
-    # Phase 1: the seed column, sequential because each row height depends on
-    # the previous seed radius.
-    seeds: list[tuple[int, float, CertifiedCell | None, SweepFailure | None]] = []
-    j, y = state.j, state.y
-    natural_end = False
-    while True:
-        if not _seed_allowed(y, window, policy):
-            natural_end = True
-            break
-        if max_rows is not None and len(seeds) >= max_rows:
-            break
-        try:
-            seed = _certify_cell(j, 0, window.x0, y, policy, solver)
-        except SweepFailure as failure:
-            seeds.append((j, y, None, failure))
-            break
-        seeds.append((j, y, seed, None))
-        y = _advance(y, seed.t_radius, window.y1)
-        j += 1
-
-    # Phase 2: row tails in parallel.
-    tails: dict[int, tuple[list[CertifiedCell], SweepFailure | None]] = {}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {
-            pool.submit(_row_tail, sj, sy, seed, window, policy, solver): sj
-            for sj, sy, seed, fail in seeds
-            if seed is not None
-        }
-        for future, sj in futures.items():
-            tails[sj] = future.result()
-
-    # Reconcile in canonical row order, applying the same stop rules the
-    # sequential path would have applied.
-    cells: list[CertifiedCell] = []
-    snapshots: list[SweepState] = []
-    for index, (sj, sy, seed, seed_failure) in enumerate(seeds):
-        if seed_failure is not None:
-            result = _finalize(cells, state, "failed", seed_failure, None)
-            _emit(result.cells, snapshots, sink, state_sink, state)
-            return result
-        tail_cells, tail_failure = tails[sj]
-        row_cells = [seed] + tail_cells
-        cells.extend(row_cells)
-        state.cells_emitted += len(row_cells)
-        if tail_failure is not None:
-            result = _finalize(cells, state, "failed", tail_failure, None)
-            _emit(result.cells, snapshots, sink, state_sink, state)
-            return result
-        state.seed_radius = row_cells[0].t_radius
-        state.y = _advance(sy, state.seed_radius, window.y1)
-        state.j = sj + 1
-        snapshots.append(replace(state))
-        more_rows = index + 1 < len(seeds) or not natural_end
-        if max_cells is not None and state.cells_emitted >= max_cells and more_rows:
-            result = _finalize(cells, state, "budget", None, None)
-            _emit(result.cells, snapshots, sink, state_sink, state)
-            return result
-    reason = "complete" if natural_end else "budget"
-    result = _finalize(cells, state, reason, None, None)
-    _emit(result.cells, snapshots, sink, state_sink, state)
-    return result
-
-
-def _emit(
-    cells: Sequence[CertifiedCell],
-    snapshots: Sequence[SweepState],
-    sink: Callable[[CertifiedCell], None] | None,
-    state_sink: Callable[[SweepState], None] | None,
-    final_state: SweepState,
-) -> None:
-    """Buffered canonical-order emission for the threaded path."""
-    if sink is not None:
-        for cell in cells:
-            sink(cell)
-    if state_sink is not None:
-        for snapshot in snapshots:
-            state_sink(snapshot)
-        state_sink(final_state)
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        while True:
+            if not _in_region(window.x0, state.y, window, policy):
+                return finish("complete")
+            if not startable(state.j, state.y) or (
+                max_cells is not None and state.cells_emitted >= max_cells
+            ):
+                return finish("budget")
+            while True:
+                newest = rows[-1] if rows else None
+                if newest and newest.seed_in():
+                    t = newest.seed.result().t_radius
+                    x = _advance(window.x0, t, window.x1)
+                    upcoming = (newest.j + 1, _advance(newest.y, t, window.y1))
+                    newest.rest = pool.submit(
+                        _certify_row, newest.j, newest.y, x, 1, window, policy, solver
+                    )
+                if upcoming and len(rows) < threads and startable(*upcoming):
+                    j, y = upcoming
+                    seed = pool.submit(_certify_cell, j, 0, window.x0, y, policy, solver)
+                    rows.append(_Row(j, y, seed))
+                    upcoming = None
+                if rows[0].done():
+                    break
+                running = [f for f in (r.rest or r.seed for r in rows) if not f.done()]
+                wait(running, return_when=FIRST_COMPLETED)
+            row_cells, failure = rows.popleft().result()
+            if sink is not None:
+                for cell in row_cells:
+                    sink(cell)
+            cells.extend(row_cells)
+            state.cells_emitted += len(row_cells)
+            if failure is not None:
+                return finish("failed", failure)
+            state.seed_radius = row_cells[0].t_radius
+            state.y = _advance(state.y, state.seed_radius, window.y1)
+            state.j += 1
+            if state_sink is not None:
+                state_sink(replace(state))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _fmt(value: object) -> str:

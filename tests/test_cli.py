@@ -109,6 +109,38 @@ def test_sweep_resume_with_mismatched_csv(capsys, tmp_path):
     assert "cells" in stderr
 
 
+def test_sweep_resume_drops_cells_of_unfinished_row(capsys, tmp_path):
+    full = tmp_path / "full.csv"
+    part = tmp_path / "part.csv"
+    code, _, _ = run(capsys, "sweep", *SWEEP_ARGS, "--out", str(full), "--no-audit")
+    assert code == EXIT_OK
+    code, _, _ = run(
+        capsys, "sweep", *SWEEP_ARGS, "--out", str(part), "--max-rows", "1"
+    )
+    assert code == EXIT_BUDGET
+    budget_text = part.read_text()
+    row1 = [line for line in full.read_text().splitlines() if line.startswith("1,")]
+    assert len(row1) >= 2
+
+    # cells past the snapshot that do not start the next row are a mismatch
+    part.write_text(budget_text + row1[1] + "\n")
+    code, _, stderr = run(capsys, "sweep", *SWEEP_ARGS, "--out", str(part), "--resume")
+    assert code == EXIT_USAGE
+    assert "cells" in stderr
+    assert part.read_text() == budget_text + row1[1] + "\n"
+
+    # a run killed between a row's cells and its snapshot: the partial row
+    # is dropped and the resumed run finishes byte-identically
+    part.write_text(budget_text + row1[0] + "\n")
+    code, stdout, stderr = run(
+        capsys, "sweep", *SWEEP_ARGS, "--out", str(part), "--resume"
+    )
+    assert code == EXIT_OK
+    assert "dropped 1 cells of unfinished row 1" in stderr
+    assert "audit uncovered = 0" in stdout
+    assert full.read_bytes() == part.read_bytes()
+
+
 def test_sweep_no_audit_skips_audit(capsys, tmp_path):
     out = tmp_path / "cells.csv"
     code, stdout, _ = run(

@@ -1,6 +1,7 @@
 """Tests for the certified sweep: radii, truncation, orchestration, audit."""
 
 import math
+import threading
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,13 @@ def make_solver(lam1=53.0, lam2=131.0, err=1e-9, met=True):
 
 
 WINDOW = SweepWindow(0.5, 0.52, 0.4, 0.42)
+
+
+def snapshot_texts(**kwargs):
+    """State snapshots of a one-thread run, as text."""
+    snapshots = []
+    run_sweep(WINDOW, solver=make_solver(), state_sink=snapshots.append, **kwargs)
+    return [s.to_text() for s in snapshots]
 
 
 # ---------------------------------------------------------------- radii
@@ -198,19 +206,92 @@ def test_sweep_deterministic_and_thread_invariant():
     assert base == threaded
 
 
-def test_sweep_budget_stops_at_row_boundary():
-    result = run_sweep(WINDOW, solver=make_solver(), max_cells=3)
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sweep_budget_stops_at_row_boundary(threads):
+    snapshots = []
+    result = run_sweep(
+        WINDOW,
+        solver=make_solver(),
+        max_cells=3,
+        threads=threads,
+        state_sink=snapshots.append,
+    )
     assert result.reason == "budget"
     assert result.state.status == "running"
     rows = {c.j for c in result.cells}
     assert rows == {0}  # whole first row, nothing beyond
     assert len(result.cells) >= 3
+    assert [s.to_text() for s in snapshots] == snapshot_texts(max_cells=3)
 
 
-def test_sweep_max_rows():
-    result = run_sweep(WINDOW, solver=make_solver(), max_rows=1)
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sweep_max_rows(threads):
+    snapshots = []
+    result = run_sweep(
+        WINDOW,
+        solver=make_solver(),
+        max_rows=1,
+        threads=threads,
+        state_sink=snapshots.append,
+    )
     assert result.reason == "budget"
     assert {c.j for c in result.cells} == {0}
+    assert [s.to_text() for s in snapshots] == snapshot_texts(max_rows=1)
+
+
+def test_sweep_threaded_budget_stops_within_a_row():
+    # the pool runs at most one row past the stop, not the whole window
+    def counted():
+        calls = []
+        solver = make_solver()
+
+        def wrapped(triangle, target, max_level=None):
+            calls.append(target)
+            return solver(triangle, target, max_level)
+
+        return wrapped, calls
+
+    one, one_calls = counted()
+    two, two_calls = counted()
+    seq = run_sweep(WINDOW, solver=one, max_cells=3)
+    par = run_sweep(WINDOW, solver=two, max_cells=3, threads=2)
+    assert par.cells == seq.cells
+    assert par.state == seq.state
+    row = len(seq.cells)  # the budget stops after the first row
+    assert len(one_calls) == row
+    assert len(two_calls) <= len(one_calls) + row
+
+
+@pytest.mark.parametrize("resume_threads", [1, 3])
+def test_sweep_killed_threaded_run_resumes_to_identical_csv(resume_threads):
+    full = cells_to_csv(run_sweep(WINDOW, solver=make_solver()).cells)
+    written, snapshots = [], []
+
+    def sink(cell):
+        if len(written) == 15:  # partway through the second row
+            raise KeyboardInterrupt
+        written.append(cell)
+
+    threads_before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(
+            WINDOW,
+            solver=make_solver(),
+            threads=2,
+            sink=sink,
+            state_sink=snapshots.append,
+        )
+    assert threading.active_count() == threads_before  # the pool is shut down
+    assert snapshots, "no snapshot was written before the kill"
+    last = SweepState.from_text(snapshots[-1].to_text())
+    assert 0 < last.cells_emitted <= len(written)
+    # cells written past the last snapshot belong to the unfinished row
+    assert all(c.j == last.j for c in written[last.cells_emitted :])
+    rest = run_sweep(
+        WINDOW, solver=make_solver(), resume_from=last, threads=resume_threads
+    )
+    assert rest.reason == "complete"
+    assert cells_to_csv(written[: last.cells_emitted] + list(rest.cells)) == full
 
 
 def test_sweep_resume_stitches_to_identical_csv():
@@ -256,18 +337,23 @@ def test_sweep_resume_thread_invariant():
     assert cells_to_csv(seq.cells) == cells_to_csv(par.cells)
 
 
-def test_sweep_sink_receives_cells_in_order():
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sweep_sink_receives_cells_in_order(threads):
     seen = []
-    result = run_sweep(WINDOW, solver=make_solver(), sink=seen.append)
+    result = run_sweep(WINDOW, solver=make_solver(), sink=seen.append, threads=threads)
     assert seen == list(result.cells)
 
 
-def test_sweep_state_snapshots_advance():
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sweep_state_snapshots_advance(threads):
     snapshots = []
-    run_sweep(WINDOW, solver=make_solver(), state_sink=snapshots.append)
+    run_sweep(
+        WINDOW, solver=make_solver(), state_sink=snapshots.append, threads=threads
+    )
     assert snapshots[-1].status == "complete"
     counts = [s.cells_emitted for s in snapshots]
     assert counts == sorted(counts)
+    assert [s.to_text() for s in snapshots] == snapshot_texts()
 
 
 def test_sweep_margin_failure_records_position():
