@@ -52,6 +52,7 @@ from .sweep import (
     SweepState,
     SweepWindow,
     cells_from_csv,
+    cells_to_csv,
     coverage_audit,
     format_cell_row,
     gap_grid,
@@ -275,37 +276,44 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 prior_text = fh.read()
         except OSError:
             prior_text = ""
-        prior_cells = cells_from_csv(prior_text)
+        # Only newline-terminated lines were written in full: a run killed
+        # in the middle of a line leaves an unterminated tail.
+        written = prior_text[: prior_text.rfind("\n") + 1]
+        tail = prior_text[len(written) :]
+        try:
+            prior_cells = cells_from_csv(written)
+        except ValueError as exc:
+            print(f"error: cannot read {args.out}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         # A run killed between a row's cells and its snapshot leaves the
-        # first cells of row state.j past the count; those are dropped.
-        extra = prior_cells[resume_state.cells_emitted :]
-        if extra and [(c.j, c.i) for c in extra] == [
+        # first cells of row state.j past the count; those are dropped,
+        # together with a cut-short line.
+        count = resume_state.cells_emitted
+        extra = prior_cells[count:]
+        if len(prior_cells) < count or [(c.j, c.i) for c in extra] != [
             (resume_state.j, i) for i in range(len(extra))
         ]:
-            lines = prior_text.splitlines(keepends=True)
-            header = CSV_COLUMNS[0] + ","
-            data = [k for k, line in enumerate(lines) if line.strip()]
-            data = [k for k in data if not lines[k].lstrip().startswith(header)]
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write("".join(lines[: data[resume_state.cells_emitted]]))
-            prior_cells = prior_cells[: resume_state.cells_emitted]
             print(
-                f"note: dropped {len(extra)} cells of unfinished row "
-                f"{resume_state.j} from {args.out}",
-                file=sys.stderr,
-            )
-        elif len(prior_cells) != resume_state.cells_emitted:
-            print(
-                f"error: state file says {resume_state.cells_emitted} cells but "
+                f"error: state file says {count} cells but "
                 f"{args.out} holds {len(prior_cells)}",
                 file=sys.stderr,
             )
             return EXIT_USAGE
+        if extra or tail:
+            prior_cells = prior_cells[:count]
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(cells_to_csv(prior_cells))
+            print(
+                f"note: dropped {len(extra) + bool(tail.strip())} cells of "
+                f"unfinished row {resume_state.j} from {args.out}",
+                file=sys.stderr,
+            )
 
     mode = "a" if args.resume else "w"
     out_fh = open(args.out, mode, encoding="utf-8", newline="")
     if not args.resume:
         out_fh.write(",".join(CSV_COLUMNS) + "\n")
+        out_fh.flush()
 
     def sink(cell) -> None:
         out_fh.write(format_cell_row(cell) + "\n")
@@ -317,6 +325,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             fh.write(state.to_text())
         os.replace(state_path + ".tmp", state_path)
 
+    if resume_state is None:
+        # a run killed before its first row still leaves a state to resume
+        state_sink(SweepState(y=window.y0))
     try:
         result = run_sweep(
             window,

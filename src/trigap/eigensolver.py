@@ -77,44 +77,6 @@ class Mesh:
     def n(self) -> int:
         return 2**self.level
 
-    @property
-    def interior_count(self) -> int:
-        return (self.n - 1) * (self.n - 2) // 2
-
-    @property
-    def vertices(self) -> np.ndarray:
-        i_of, j_of, _ = _lattice_nodes(self.n)
-        v0, v1, v2 = self.corners
-        return v0 + np.outer(i_of, (v1 - v0) / self.n) + np.outer(j_of, (v2 - v0) / self.n)
-
-    @property
-    def boundary(self) -> np.ndarray:
-        i_of, j_of, _ = _lattice_nodes(self.n)
-        return (i_of == 0) | (j_of == 0) | (i_of + j_of == self.n)
-
-    @property
-    def elements(self) -> np.ndarray:
-        n = self.n
-        i_of, j_of, offsets = _lattice_nodes(n)
-
-        def idx(i, j):
-            return offsets[i] + j
-
-        up_mask = i_of + j_of <= n - 1
-        ui, uj = i_of[up_mask], j_of[up_mask]
-        up = np.column_stack([idx(ui, uj), idx(ui + 1, uj), idx(ui, uj + 1)])
-        down_mask = i_of + j_of <= n - 2
-        di, dj = i_of[down_mask], j_of[down_mask]
-        down = np.column_stack([idx(di + 1, dj), idx(di + 1, dj + 1), idx(di, dj + 1)])
-        return np.vstack([up, down]).astype(np.int32)
-
-
-def _lattice_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j) of every lattice node in numbering order, and each row's offset."""
-    i_of = np.repeat(np.arange(n + 1), np.arange(n + 1, 0, -1))
-    offsets = np.concatenate(([0], np.cumsum(np.arange(n + 1, 0, -1))))
-    return i_of, np.arange(i_of.size) - offsets[i_of], offsets
-
 
 def _interior_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) of the interior lattice nodes, in lattice numbering order."""
@@ -129,18 +91,11 @@ def _interior_offset(i: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """P1 stiffness and mass restricted to interior (Dirichlet) nodes.
-
-    ``mass_total`` is the row-sum total of the unrestricted mass matrix,
-    which equals the triangle area by partition of unity; the restricted
-    matrices no longer satisfy that identity.
-    """
+    """P1 stiffness and mass on the interior (Dirichlet) nodes, in their
+    lattice numbering order."""
 
     stiffness: csr_matrix
     mass: csr_matrix
-    interior_index: np.ndarray
-    mass_total: float
-    area: float
 
 
 @dataclass(frozen=True)
@@ -178,11 +133,6 @@ class Spectrum:
     @property
     def lambda2(self) -> float:
         return self.eigenvalues[1]
-
-    @property
-    def gap_clearly_simple(self) -> bool:
-        """Discrete gap exceeds 10x the combined error bound."""
-        return (self.lambda2 - self.lambda1) > 10.0 * sum(self.error_bounds)
 
 
 class EigenPairs(list):
@@ -298,15 +248,7 @@ def assemble(mesh: Mesh) -> AssembledSystem:
     mass = csr_matrix(
         (np.broadcast_to(m_vals, present.shape)[present], indices, indptr), shape=shape
     )
-    # Each of the n**2 elements adds its local row sums to its three vertices.
-    mass_total = float(n * n * m_up.sum())
-    return AssembledSystem(
-        stiffness=stiffness,
-        mass=mass,
-        interior_index=np.flatnonzero(~mesh.boundary),
-        mass_total=mass_total,
-        area=abs(_signed_area(mesh.corners)),
-    )
+    return AssembledSystem(stiffness=stiffness, mass=mass)
 
 
 def prolongate(block: np.ndarray, level: int) -> np.ndarray:
@@ -463,7 +405,7 @@ def gap_with_error(
     if target <= 0.0:
         raise ValueError("target accuracy must be positive")
     verts = _as_vertices(triangle)
-    d = diameter(triangle) if isinstance(triangle, Triangle) else _vertex_diameter(verts)
+    d = diameter(verts)
     thin = 2.0 * abs(_signed_area(verts)) / (d * d) <= THIN_APEX_HEIGHT
     cap = max_level if max_level is not None else (11 if thin else 10)
     cap = min(cap, MAX_LEVEL)
@@ -512,14 +454,6 @@ def gap_with_error(
             break
     assert spectrum is not None
     return spectrum
-
-
-def _vertex_diameter(verts: np.ndarray) -> float:
-    sides = [
-        float(np.hypot(*(verts[i] - verts[j])))
-        for i, j in ((0, 1), (1, 2), (2, 0))
-    ]
-    return max(sides)
 
 
 def _rates(history: list[tuple[float, float]]) -> tuple[float, float] | None:

@@ -86,13 +86,12 @@ class TauNu:
             raise ValueError(f"nu must lie in (0, 1], got {self.nu}")
 
 
-def diameter(triangle: Triangle) -> float:
-    """Longest side length of the triangle."""
-    x, y = triangle.apex_x, triangle.apex_y
+def diameter(triangle) -> float:
+    """Longest side length of a ``Triangle`` or of a vertex triple."""
+    v = triangle.vertices if isinstance(triangle, Triangle) else triangle
     return max(
-        1.0,
-        math.hypot(x, y),
-        math.hypot(x - 1.0, y),
+        math.hypot(v[a][0] - v[b][0], v[a][1] - v[b][1])
+        for a, b in ((0, 1), (1, 2), (2, 0))
     )
 
 
@@ -111,23 +110,24 @@ def gap_function(lambda1: float, lambda2: float, diam: float) -> float:
     return diam * diam * (lambda2 - lambda1)
 
 
-def in_sweep_region(apex_x: float, apex_y: float) -> bool:
+def in_sweep_region(apex_x, apex_y, exclusion_radius: float = EXCLUSION_RADIUS):
     """Membership test for the certification sweep region.
 
     Closed inequalities, evaluated exactly in floating point (no epsilon
     fudging): x^2 + y^2 <= 1, 1/2 <= x <= 1, 0.005 <= y <= 1, and strict
-    exclusion of the ball of radius 4e-4 around the equilateral apex.
+    exclusion of the ball of ``exclusion_radius`` around the equilateral
+    apex.  Takes floats or numpy arrays, which broadcast elementwise.
     """
-    if not (apex_x * apex_x + apex_y * apex_y <= 1.0):
-        return False
-    if not (0.5 <= apex_x <= 1.0):
-        return False
-    if not (THIN_STRIP_HEIGHT <= apex_y <= 1.0):
-        return False
     ex, ey = EQUILATERAL_APEX
-    if math.hypot(apex_x - ex, apex_y - ey) <= EXCLUSION_RADIUS:
-        return False
-    return True
+    dx, dy = apex_x - ex, apex_y - ey
+    return (
+        (apex_x * apex_x + apex_y * apex_y <= 1.0)
+        & (0.5 <= apex_x)
+        & (apex_x <= 1.0)
+        & (THIN_STRIP_HEIGHT <= apex_y)
+        & (apex_y <= 1.0)
+        & (dx * dx + dy * dy > exclusion_radius * exclusion_radius)
+    )
 
 
 def tau_nu_to_apex(coords: TauNu) -> tuple[float, float]:
@@ -153,15 +153,7 @@ def scale_to_unit_diameter(
     """
     if len(vertices) != 3:
         raise ValueError("expected exactly three vertices")
-    d = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            d = max(
-                d,
-                math.hypot(
-                    vertices[i][0] - vertices[j][0], vertices[i][1] - vertices[j][1]
-                ),
-            )
+    d = diameter(vertices)
     if not (d > 0.0):
         raise ValueError("degenerate vertex set")
     f = 1.0 / d

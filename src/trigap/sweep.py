@@ -34,12 +34,12 @@ import numpy as np
 
 from .eigensolver import ConvergenceError, Spectrum, gap_with_error
 from .geometry import (
-    EQUILATERAL_APEX,
     EXCLUSION_RADIUS,
     GAP_THRESHOLD,
     THIN_STRIP_HEIGHT,
     TauNu,
     Triangle,
+    in_sweep_region,
     tau_nu_to_apex,
 )
 
@@ -213,10 +213,7 @@ class SweepState:
     """Resumable position of a sweep, snapshotted at row boundaries."""
 
     j: int = 0
-    i: int = 0
-    x: float = 0.5
     y: float = THIN_STRIP_HEIGHT
-    seed_radius: float = 0.0
     cells_emitted: int = 0
     status: str = "running"
     failure: str = ""
@@ -224,10 +221,7 @@ class SweepState:
     def to_text(self) -> str:
         lines = [
             f"j={self.j}",
-            f"i={self.i}",
-            f"x={format(self.x, '.17g')}",
             f"y={format(self.y, '.17g')}",
-            f"seed_radius={format(self.seed_radius, '.17g')}",
             f"cells_emitted={self.cells_emitted}",
             f"status={self.status}",
         ]
@@ -245,10 +239,10 @@ class SweepState:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key in ("j", "i", "cells_emitted"):
+            if key in ("j", "cells_emitted"):
                 setattr(state, key, int(value))
-            elif key in ("x", "y", "seed_radius"):
-                setattr(state, key, float(value))
+            elif key == "y":
+                state.y = float(value)
             elif key in ("status", "failure"):
                 setattr(state, key, value)
         return state
@@ -413,14 +407,11 @@ def _advance(pos: float, t: float, limit: float) -> float:
 
 
 def _in_region(x: float, y: float, window: SweepWindow, policy: SweepPolicy) -> bool:
-    """Whether a cell at (x, y) lies in the window, in the unit disc and
-    outside the exclusion ball: the check on every advanced cell and seed."""
-    if x > window.x1 or y > window.y1:
-        return False
-    if x * x + y * y > 1.0:
-        return False
-    ex, ey = EQUILATERAL_APEX
-    return math.hypot(x - ex, y - ey) > policy.exclusion_radius
+    """Whether a cell at (x, y) lies in the window and the sweep region: the
+    check on every advanced cell and seed.  Cells only move up and right
+    from the window corner, so the window's lower edges need no check."""
+    in_window = x <= window.x1 and y <= window.y1
+    return in_window and in_sweep_region(x, y, policy.exclusion_radius)
 
 
 def _certify_row(
@@ -479,12 +470,6 @@ class _Row:
         return [seed, *rest], failure
 
 
-def _validate_start(window: SweepWindow) -> None:
-    x0, y0 = window.x0, window.y0
-    if x0 * x0 + y0 * y0 > 1.0 or y0 < THIN_STRIP_HEIGHT or x0 < 0.5:
-        raise ValueError(f"window start ({x0}, {y0}) outside the sweep region")
-
-
 def run_sweep(
     window: SweepWindow,
     policy: SweepPolicy | None = None,
@@ -524,14 +509,13 @@ def run_sweep(
     solver = solver if solver is not None else _default_solver
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    _validate_start(window)
 
     if resume_from is None:
-        state = SweepState(x=window.x0, y=window.y0)
+        state = SweepState(y=window.y0)
     elif resume_from.status == "complete":
         return SweepResult(cells=(), state=replace(resume_from), reason="complete")
     else:
-        state = replace(resume_from, i=0, x=window.x0, status="running", failure="")
+        state = replace(resume_from, status="running", failure="")
     first_j = state.j
     cells: list[CertifiedCell] = []
     rows: deque[_Row] = deque()  # started and not yet emitted, lowest first
@@ -584,8 +568,7 @@ def run_sweep(
             state.cells_emitted += len(row_cells)
             if failure is not None:
                 return finish("failed", failure)
-            state.seed_radius = row_cells[0].t_radius
-            state.y = _advance(state.y, state.seed_radius, window.y1)
+            state.y = _advance(state.y, row_cells[0].t_radius, window.y1)
             state.j += 1
             if state_sink is not None:
                 state_sink(replace(state))
@@ -694,24 +677,12 @@ def coverage_audit(
     ys = window.y0 + spacing * np.arange(ny)
     covered = np.zeros((ny, nx), dtype=bool)
 
-    ex, ey = EQUILATERAL_APEX
-    ball_r2 = exclusion_radius * exclusion_radius
-    region_r2 = EXCLUSION_RADIUS * EXCLUSION_RADIUS
+    # the region itself always leaves out the default ball
+    ball = max(EXCLUSION_RADIUS, exclusion_radius)
     chunk = 1024
-    row_x = xs[None, :]
     for lo in range(0, ny, chunk):
         hi = min(lo + chunk, ny)
-        col_y = ys[lo:hi][:, None]
-        block = covered[lo:hi]
-        rr = row_x * row_x + col_y * col_y
-        block |= rr > 1.0
-        block |= row_x < 0.5
-        block |= row_x > 1.0
-        block |= col_y < THIN_STRIP_HEIGHT
-        block |= col_y > 1.0
-        dd = (row_x - ex) ** 2 + (col_y - ey) ** 2
-        block |= dd <= region_r2  # excluded from the region itself
-        block |= dd <= ball_r2
+        covered[lo:hi] = ~in_sweep_region(xs[None, :], ys[lo:hi][:, None], ball)
 
     for cell in cells:
         t = cell.t_radius

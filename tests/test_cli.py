@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from trigap import cli
 from trigap.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, _default_threads, main
 
 
@@ -138,6 +139,63 @@ def test_sweep_resume_drops_cells_of_unfinished_row(capsys, tmp_path):
     assert code == EXIT_OK
     assert "dropped 1 cells of unfinished row 1" in stderr
     assert "audit uncovered = 0" in stdout
+    assert full.read_bytes() == part.read_bytes()
+
+
+def test_sweep_resume_drops_cut_short_line(capsys, tmp_path):
+    full = tmp_path / "full.csv"
+    part = tmp_path / "part.csv"
+    code, _, _ = run(capsys, "sweep", *SWEEP_ARGS, "--out", str(full), "--no-audit")
+    assert code == EXIT_OK
+    code, _, _ = run(
+        capsys, "sweep", *SWEEP_ARGS, "--out", str(part), "--max-rows", "1"
+    )
+    assert code == EXIT_BUDGET
+    # a run killed in the middle of writing a cell line
+    with part.open("a") as fh:
+        fh.write("1,0,0.5,0.40")
+    code, stdout, stderr = run(
+        capsys, "sweep", *SWEEP_ARGS, "--out", str(part), "--resume"
+    )
+    assert code == EXIT_OK
+    assert "dropped 1 cells of unfinished row 1" in stderr
+    assert "audit uncovered = 0" in stdout
+    assert full.read_bytes() == part.read_bytes()
+
+
+def test_sweep_resume_rejects_malformed_counted_line(capsys, tmp_path):
+    out = tmp_path / "cells.csv"
+    code, _, _ = run(
+        capsys, "sweep", *SWEEP_ARGS, "--out", str(out), "--max-rows", "1"
+    )
+    assert code == EXIT_BUDGET
+    lines = out.read_text().splitlines(keepends=True)
+    lines[1] = "0,0,0.5\n"
+    out.write_text("".join(lines))
+    code, _, stderr = run(capsys, "sweep", *SWEEP_ARGS, "--out", str(out), "--resume")
+    assert code == EXIT_USAGE
+    assert "error:" in stderr
+    assert "malformed" in stderr
+
+
+def test_sweep_killed_before_first_row_resumes(capsys, tmp_path, monkeypatch):
+    full = tmp_path / "full.csv"
+    part = tmp_path / "part.csv"
+    code, _, _ = run(capsys, "sweep", *SWEEP_ARGS, "--out", str(full), "--no-audit")
+    assert code == EXIT_OK
+
+    def killed(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "run_sweep", killed)
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", *SWEEP_ARGS, "--out", str(part), "--no-audit"])
+    assert (tmp_path / "part.csv.state").is_file()
+    code, _, _ = run(
+        capsys, "sweep", *SWEEP_ARGS, "--out", str(part), "--resume", "--no-audit"
+    )
+    assert code == EXIT_OK
     assert full.read_bytes() == part.read_bytes()
 
 

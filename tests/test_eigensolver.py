@@ -32,20 +32,53 @@ from trigap.lame import LAMBDA1, LAMBDA2
 UNIT_RIGHT = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
 
+def lattice(mesh):
+    """Every node of the mesh's lattice, its elements and its boundary flags.
+
+    Node (i, j) sits at corners[0] + (i e1 + j e2) / n, numbered row by row
+    (i outer, j inner); the up element (i,j), (i+1,j), (i,j+1) and the down
+    element (i+1,j), (i+1,j+1), (i,j+1) are both positively oriented.  This
+    is the unstructured view the element-by-element reference works on.
+    """
+    n = mesh.n
+    i_of = np.repeat(np.arange(n + 1), np.arange(n + 1, 0, -1))
+    offsets = np.concatenate(([0], np.cumsum(np.arange(n + 1, 0, -1))))
+    j_of = np.arange(i_of.size) - offsets[i_of]
+    v0, v1, v2 = mesh.corners
+    vertices = v0 + np.outer(i_of, (v1 - v0) / n) + np.outer(j_of, (v2 - v0) / n)
+
+    def idx(i, j):
+        return offsets[i] + j
+
+    up, down = i_of + j_of <= n - 1, i_of + j_of <= n - 2
+    ui, uj, di, dj = i_of[up], j_of[up], i_of[down], j_of[down]
+    elements = np.vstack(
+        [
+            np.column_stack([idx(ui, uj), idx(ui + 1, uj), idx(ui, uj + 1)]),
+            np.column_stack([idx(di + 1, dj), idx(di + 1, dj + 1), idx(di, dj + 1)]),
+        ]
+    )
+    boundary = (i_of == 0) | (j_of == 0) | (i_of + j_of == n)
+    return vertices, elements, boundary
+
+
 def test_mesh_counts_by_level():
     for level in (0, 1, 2, 3, 4):
         n = 2**level
         mesh = build_mesh(UNIT_RIGHT, level)
-        assert mesh.vertices.shape[0] == (n + 1) * (n + 2) // 2
-        assert mesh.elements.shape[0] == n * n
-        assert int(np.count_nonzero(mesh.boundary)) == 3 * n
+        vertices, elements, boundary = lattice(mesh)
+        assert vertices.shape[0] == (n + 1) * (n + 2) // 2
+        assert elements.shape[0] == n * n
+        assert int(np.count_nonzero(boundary)) == 3 * n
         assert mesh.level == level
+        if level >= 2:
+            unknowns = assemble(mesh).stiffness.shape[0]
+            assert unknowns == int(np.count_nonzero(~boundary))
 
 
 def test_mesh_elements_positively_oriented_and_cover():
     mesh = build_mesh(UNIT_RIGHT, 3)
-    v = mesh.vertices
-    e = mesh.elements
+    v, e, _ = lattice(mesh)
     a = v[e[:, 0]]
     b = v[e[:, 1]]
     c = v[e[:, 2]]
@@ -59,8 +92,8 @@ def test_mesh_elements_positively_oriented_and_cover():
 def test_level2_interior_matrices_match_hand_assembly():
     mesh = build_mesh(UNIT_RIGHT, 2)
     system = assemble(mesh)
-    idx = system.interior_index
-    coords = [tuple(np.round(mesh.vertices[i], 6)) for i in idx]
+    vertices, _, boundary = lattice(mesh)
+    coords = [tuple(np.round(vertices[i], 6)) for i in np.flatnonzero(~boundary)]
     order = {c: k for k, c in enumerate(coords)}
     assert set(coords) == {(0.25, 0.25), (0.25, 0.5), (0.5, 0.25)}
     p0, p1, p2 = order[(0.25, 0.25)], order[(0.25, 0.5)], order[(0.5, 0.25)]
@@ -79,11 +112,10 @@ def test_level2_interior_matrices_match_hand_assembly():
 
 
 def test_mass_total_equals_area():
+    # partition of unity: the unrestricted mass matrix sums to the area
     for apex in [(0.5, math.sqrt(3.0) / 2.0), (0.3, 0.7), (0.9, 0.1)]:
-        mesh = build_mesh(Triangle(*apex), 3)
-        system = assemble(mesh)
-        assert system.mass_total == pytest.approx(system.area, rel=1e-13)
-        assert system.area == pytest.approx(0.5 * apex[1], rel=1e-13)
+        _, _, mass_total = _elementwise_assembly(build_mesh(Triangle(*apex), 3))
+        assert mass_total == pytest.approx(0.5 * apex[1], rel=1e-13)
 
 
 def test_eigenvalues_decrease_under_nested_refinement():
@@ -151,7 +183,8 @@ def test_eigenvector_vanishes_on_boundary_dofs():
     pairs = smallest_eigenpairs(system, k=1)
     vec = pairs[0][1]
     # interior-only unknowns: the vector has exactly one entry per interior node
-    assert vec.shape[0] == len(system.interior_index)
+    _, _, boundary = lattice(mesh)
+    assert vec.shape[0] == int(np.count_nonzero(~boundary))
     assert np.all(np.isfinite(vec))
 
 
@@ -219,8 +252,9 @@ def test_spectrum_validation():
 
 def _elementwise_assembly(mesh):
     """Reference P1 assembly: per-element local matrices summed over all
-    nodes, then restricted to the interior."""
-    pts = mesh.vertices[mesh.elements]
+    nodes, then restricted to the interior; also the unrestricted mass sum."""
+    vertices, elements, boundary = lattice(mesh)
+    pts = vertices[elements]
     b = pts[:, [1, 2, 0], 1] - pts[:, [2, 0, 1], 1]
     c = pts[:, [2, 0, 1], 0] - pts[:, [1, 2, 0], 0]
     area = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
@@ -228,10 +262,10 @@ def _elementwise_assembly(mesh):
         4.0 * area[:, None, None]
     )
     m_local = area[:, None, None] * (np.ones((3, 3)) + np.eye(3)) / 12.0
-    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, 3)).ravel()
-    nv = mesh.vertices.shape[0]
-    interior = np.flatnonzero(~mesh.boundary)
+    rows = np.repeat(elements, 3, axis=1).ravel()
+    cols = np.tile(elements, (1, 3)).ravel()
+    nv = vertices.shape[0]
+    interior = np.flatnonzero(~boundary)
     k = coo_matrix((k_local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
     m = coo_matrix((m_local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
     return k[interior][:, interior], m[interior][:, interior], float(m.sum())
@@ -253,8 +287,9 @@ def test_stencil_assembly_matches_elementwise_reference(vertices):
     scale_m = abs(m_ref).max()
     assert abs(system.stiffness - k_ref).max() <= 1e-12 * scale_k
     assert abs(system.mass - m_ref).max() <= 1e-12 * scale_m
-    assert system.mass_total == pytest.approx(mass_total_ref, rel=1e-12)
-    assert np.array_equal(system.interior_index, np.flatnonzero(~mesh.boundary))
+    (ax, ay), (bx, by), (cx, cy) = vertices
+    area = 0.5 * abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    assert mass_total_ref == pytest.approx(area, rel=1e-12)
 
 
 def test_prolongation_is_the_nested_space_embedding():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -54,6 +55,17 @@ def test_diameter_is_longest_side(x, y):
     assert diameter(tri) == max(sides)
 
 
+@given(
+    x=st.floats(0.5, 1.0),
+    y=st.floats(1e-6, 1.0),
+    order=st.permutations([0, 1, 2]),
+)
+def test_diameter_is_one_function_of_the_vertices(x, y, order):
+    tri = Triangle(x, y)
+    permuted = tuple(tri.vertices[k] for k in order)
+    assert diameter(tri) == diameter(tri.vertices) == diameter(permuted)
+
+
 def test_diameter_is_one_inside_sweep_region():
     # x >= 1/2 and x^2 + y^2 <= 1 force both slanted sides below 1
     for x, y in [(0.5, 0.005), (0.5, 0.8), (0.7, 0.7), (0.99, 0.1), (0.6, 0.79)]:
@@ -101,6 +113,23 @@ def test_in_sweep_region_excludes_equilateral_ball():
     assert in_sweep_region(ex, ey - 5.25e-4)
     # diagonal offset just outside the ball, still inside the disc
     assert in_sweep_region(ex + 4.0e-4, ey - 4.0e-4)
+
+
+@pytest.mark.parametrize("radius", [0.0, 4e-4, 1e-3])
+def test_in_sweep_region_on_arrays_matches_scalar_calls(radius):
+    ex, ey = EQUILATERAL_APEX
+    # a grid through x = 1/2, x = 1, the thin strip, the unit circle and
+    # the exclusion ball, with the boundary values themselves on it
+    xs = np.concatenate([np.linspace(0.45, 1.05, 61), [0.5, 1.0, ex + 3e-4, 0.6]])
+    ys = np.concatenate(
+        [np.linspace(0.0, 1.05, 106), [0.004, 0.005, ey - 4e-4, ey - 9e-4, 0.8]]
+    )
+    ys = np.concatenate([ys, ey + np.linspace(-1.2e-3, 1.2e-3, 25)])
+    mask = in_sweep_region(xs[None, :], ys[:, None], radius)
+    assert mask.shape == (ys.size, xs.size)
+    expected = [[in_sweep_region(float(x), float(y), radius) for x in xs] for y in ys]
+    assert mask.tolist() == expected
+    assert mask.any() and not mask.all()
 
 
 @pytest.mark.parametrize("tau,nu", [(0.0, 0.5), (2.0, 0.5), (1.0, 0.0), (1.0, 1.1)])

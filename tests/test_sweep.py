@@ -172,15 +172,16 @@ def test_cell_csv_round_trip():
 
 
 def test_state_text_round_trip():
-    state = SweepState(
-        j=3, i=7, x=0.52, y=0.44, seed_radius=0.008, cells_emitted=31, status="running"
-    )
+    state = SweepState(j=3, y=0.44, cells_emitted=31, status="running")
     text = state.to_text()
     back = SweepState.from_text(text)
     assert back == state
     # unknown keys are tolerated for forward compatibility
     back2 = SweepState.from_text(text + "future_key=1\n")
     assert back2 == state
+    # state files that still carry the row position and seed radius load
+    older = "j=3\ni=7\nx=0.52\ny=0.44\nseed_radius=0.008\ncells_emitted=31\n"
+    assert SweepState.from_text(older + "status=running\n") == state
 
 
 # ---------------------------------------------------------------- run_sweep
@@ -496,6 +497,23 @@ def test_audit_detects_hole():
 def test_audit_rejects_bad_spacing():
     with pytest.raises(ValueError):
         coverage_audit([], WINDOW, spacing=0.0)
+
+
+@pytest.mark.parametrize("radius", [1e-4, 1e-3])
+def test_audit_without_cells_covers_the_larger_exclusion_ball(radius):
+    # the sweep region always leaves out the 4e-4 ball, so a smaller audit
+    # radius cannot shrink it, while a larger one widens it
+    ex, ey = EQUILATERAL_APEX
+    ball = max(radius, 4e-4)
+    window = SweepWindow(0.5, 0.5015, 0.864, 0.8675)
+    report = coverage_audit(
+        [], window, spacing=1e-4, exclusion_radius=radius, max_report=10**6
+    )
+    assert report.uncovered_count == len(report.uncovered_sample) > 0
+    dist2 = [(x - ex) ** 2 + (y - ey) ** 2 for x, y in report.uncovered_sample]
+    assert min(dist2) > ball * ball
+    assert min(dist2) < (ball + 2e-4) ** 2
+    assert all(x * x + y * y <= 1.0 for x, y in report.uncovered_sample)
 
 
 # ---------------------------------------------------------------- gap grid
