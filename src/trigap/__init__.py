@@ -49,6 +49,7 @@ from .sweep import (
     certification_radius,
     continuity_lower_bound,
     coverage_audit,
+    resume_point,
     run_sweep,
     truncate_radius,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "certification_radius",
     "continuity_lower_bound",
     "coverage_audit",
+    "resume_point",
     "run_sweep",
     "truncate_radius",
     "verify_integral_tables",

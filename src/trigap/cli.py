@@ -46,16 +46,15 @@ from .eigensolver import ConvergenceError, gap_with_error
 from .geometry import GAP_THRESHOLD, Triangle
 from .lame import distinct_spectrum
 from .sweep import (
-    CSV_COLUMNS,
     SweepFailure,
     SweepPolicy,
-    SweepState,
     SweepWindow,
     cells_from_csv,
     cells_to_csv,
     coverage_audit,
     format_cell_row,
     gap_grid,
+    resume_point,
     run_sweep,
 )
 from .tables import verify_integral_tables
@@ -109,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=int, default=None)
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--out", default="sweep_cells.csv")
-    p.add_argument("--state", default=None, help="state file (default <out>.state)")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--max-cells", type=int, default=None)
     p.add_argument("--max-rows", type=int, default=None)
@@ -257,95 +255,64 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             max_accuracy_rounds=args.max_rounds,
             max_level=args.max_level,
         )
+        if args.threads < 1:
+            raise ValueError("--threads must be at least 1")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    state_path = args.state if args.state else args.out + ".state"
 
+    # The CSV is the sweep's only record: on --resume the position is
+    # replayed from its cells, and the cells of an unfinished row are dropped.
     prior_cells: tuple = ()
     resume_state = None
     if args.resume:
         try:
-            with open(state_path, "r", encoding="utf-8") as fh:
-                resume_state = SweepState.from_text(fh.read())
-        except OSError as exc:
-            print(f"error: cannot read state file: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        try:
             with open(args.out, "r", encoding="utf-8") as fh:
                 prior_text = fh.read()
-        except OSError:
-            prior_text = ""
-        # Only newline-terminated lines were written in full: a run killed
-        # in the middle of a line leaves an unterminated tail.
-        written = prior_text[: prior_text.rfind("\n") + 1]
-        tail = prior_text[len(written) :]
-        try:
+            # Only newline-terminated lines were written in full: a run
+            # killed in the middle of a line leaves an unterminated tail.
+            written = prior_text[: prior_text.rfind("\n") + 1]
             prior_cells = cells_from_csv(written)
+            resume_state = resume_point(prior_cells, window, policy)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot resume from {args.out}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        kept = resume_state.cells_emitted
+        dropped = len(prior_cells) - kept + bool(prior_text[len(written) :].strip())
+        prior_cells = prior_cells[:kept]
+        if dropped:
+            print(
+                f"note: dropped {dropped} cells of unfinished row "
+                f"{resume_state.j} from {args.out}",
+                file=sys.stderr,
+            )
+
+    mode = "r+" if args.resume else "w"
+    with open(args.out, mode, encoding="utf-8", newline="") as out_fh:
+        # A fresh run writes the header at once, so a run killed before its
+        # first row leaves a CSV to resume; --resume rewrites the kept cells,
+        # a prefix of the file, in place and cuts off the rest.
+        out_fh.write(cells_to_csv(prior_cells))
+        out_fh.truncate()
+        out_fh.flush()
+
+        def sink(cell) -> None:
+            out_fh.write(format_cell_row(cell) + "\n")
+            out_fh.flush()
+
+        try:
+            result = run_sweep(
+                window,
+                policy,
+                sink=sink,
+                resume_from=resume_state,
+                threads=args.threads,
+                max_rows=args.max_rows,
+                max_cells=args.max_cells,
+            )
         except ValueError as exc:
-            print(f"error: cannot read {args.out}: {exc}", file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        # A run killed between a row's cells and its snapshot leaves the
-        # first cells of row state.j past the count; those are dropped,
-        # together with a cut-short line.
-        count = resume_state.cells_emitted
-        extra = prior_cells[count:]
-        if len(prior_cells) < count or [(c.j, c.i) for c in extra] != [
-            (resume_state.j, i) for i in range(len(extra))
-        ]:
-            print(
-                f"error: state file says {count} cells but "
-                f"{args.out} holds {len(prior_cells)}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        if extra or tail:
-            prior_cells = prior_cells[:count]
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(cells_to_csv(prior_cells))
-            print(
-                f"note: dropped {len(extra) + bool(tail.strip())} cells of "
-                f"unfinished row {resume_state.j} from {args.out}",
-                file=sys.stderr,
-            )
-
-    mode = "a" if args.resume else "w"
-    out_fh = open(args.out, mode, encoding="utf-8", newline="")
-    if not args.resume:
-        out_fh.write(",".join(CSV_COLUMNS) + "\n")
-        out_fh.flush()
-
-    def sink(cell) -> None:
-        out_fh.write(format_cell_row(cell) + "\n")
-        out_fh.flush()
-
-    def state_sink(state: SweepState) -> None:
-        # write then rename, so a kill never leaves a truncated state file
-        with open(state_path + ".tmp", "w", encoding="utf-8") as fh:
-            fh.write(state.to_text())
-        os.replace(state_path + ".tmp", state_path)
-
-    if resume_state is None:
-        # a run killed before its first row still leaves a state to resume
-        state_sink(SweepState(y=window.y0))
-    try:
-        result = run_sweep(
-            window,
-            policy,
-            sink=sink,
-            state_sink=state_sink,
-            resume_from=resume_state,
-            threads=args.threads,
-            max_rows=args.max_rows,
-            max_cells=args.max_cells,
-        )
-    except ValueError as exc:
-        out_fh.close()
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    finally:
-        if not out_fh.closed:
-            out_fh.close()
 
     print(f"cells this run = {len(result.cells)}")
     print(f"cells total = {result.state.cells_emitted}")

@@ -52,6 +52,15 @@ _DEGENERATE_AREA = 1e-14
 #: Acceptable observed convergence-rate window around the theoretical 4.
 RATE_WINDOW = (2.5, 6.0)
 
+#: Coarsest refinement level of the ladder in ``gap_with_error``.
+MIN_LEVEL = 4
+
+#: Relative residual |K v - lambda M v| / |K v| every returned eigenpair meets.
+RESIDUAL_TOL = 1e-10
+
+#: Iteration cap of the block inverse iteration.
+MAX_ITERATIONS = 10000
+
 
 class ConvergenceError(RuntimeError):
     """Eigensolver failed to meet its residual tolerance within the cap."""
@@ -274,8 +283,6 @@ def prolongate(block: np.ndarray, level: int) -> np.ndarray:
 def smallest_eigenpairs(
     system: AssembledSystem,
     k: int,
-    tol: float = 1e-10,
-    max_iterations: int = 10000,
     shift: float = 0.0,
     start: np.ndarray | None = None,
 ) -> EigenPairs:
@@ -300,18 +307,16 @@ def smallest_eigenpairs(
     if start is not None and start.shape[0] != n:
         raise ValueError(f"start block has {start.shape[0]} rows, system has {n}")
     try:
-        return _block_inverse_iteration(system, k, tol, max_iterations, shift, start)
+        return _block_inverse_iteration(system, k, shift, start)
     except (ConvergenceError, np.linalg.LinAlgError, RuntimeError):
         if shift == 0.0:
             raise
-        return _block_inverse_iteration(system, k, tol, max_iterations, 0.0, start)
+        return _block_inverse_iteration(system, k, 0.0, start)
 
 
 def _block_inverse_iteration(
     system: AssembledSystem,
     k: int,
-    tol: float,
-    max_iterations: int,
     shift: float,
     start: np.ndarray | None,
 ) -> EigenPairs:
@@ -332,7 +337,7 @@ def _block_inverse_iteration(
     if width:
         v = np.hstack([start[:, :width], v])
     theta = np.zeros(block)
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         w = lu.solve(mm @ v)
         gram = w.T @ (mm @ w)
         chol = np.linalg.cholesky(gram)
@@ -343,12 +348,12 @@ def _block_inverse_iteration(
         v = w @ s
         kv = kk @ v[:, :k]
         resid = kv - mm @ v[:, :k] * theta[:k]
-        ok = np.linalg.norm(resid, axis=0) <= tol * np.linalg.norm(kv, axis=0)
+        ok = np.linalg.norm(resid, axis=0) <= RESIDUAL_TOL * np.linalg.norm(kv, axis=0)
         if bool(np.all(ok)):
             pairs = [(float(theta[i]), v[:, i].copy()) for i in range(k)]
             return EigenPairs(pairs, block=v, iterations=iteration)
     raise ConvergenceError(
-        f"residual tolerance {tol} not reached in {max_iterations} iterations"
+        f"residual tolerance {RESIDUAL_TOL} not reached in {MAX_ITERATIONS} iterations"
     )
 
 
@@ -356,7 +361,6 @@ def solve_triangle(
     triangle,
     level: int,
     k: int = 2,
-    tol: float = 1e-10,
     shift: float = 0.0,
     start: np.ndarray | None = None,
 ) -> LevelSolve:
@@ -366,7 +370,7 @@ def solve_triangle(
     the previous level's block through ``prolongate``.
     """
     system = assemble(build_mesh(triangle, level))
-    pairs = smallest_eigenpairs(system, k, tol=tol, shift=shift, start=start)
+    pairs = smallest_eigenpairs(system, k, shift=shift, start=start)
     return LevelSolve(
         (value for value, _ in pairs),
         level=level,
@@ -390,8 +394,6 @@ def gap_with_error(
     triangle,
     target: float,
     max_level: int | None = None,
-    min_level: int = 4,
-    tol: float = 1e-10,
 ) -> Spectrum:
     """Eigenvalue pair and gap with an empirical error bound at most ``target``.
 
@@ -409,7 +411,7 @@ def gap_with_error(
     thin = 2.0 * abs(_signed_area(verts)) / (d * d) <= THIN_APEX_HEIGHT
     cap = max_level if max_level is not None else (11 if thin else 10)
     cap = min(cap, MAX_LEVEL)
-    if cap < min_level + 1:
+    if cap < MIN_LEVEL + 1:
         raise ValueError("level cap leaves no room for two consecutive solves")
 
     history: list[tuple[float, float]] = []
@@ -417,11 +419,11 @@ def gap_with_error(
     spectrum: Spectrum | None = None
     shift = 0.0
     block = None
-    for level in range(min_level, cap + 1):
+    for level in range(MIN_LEVEL, cap + 1):
         # only the Ritz block crosses levels: the coarse mesh, system and
         # factor are gone before this level assembles
         start = None if block is None else prolongate(block, level - 1)
-        solved = solve_triangle(verts, level, k=2, tol=tol, shift=shift, start=start)
+        solved = solve_triangle(verts, level, k=2, shift=shift, start=start)
         block = solved.block
         history.append(tuple(solved))
         solves.append((level, solved.unknowns, solved.iterations))

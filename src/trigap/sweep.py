@@ -26,13 +26,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .eigensolver import ConvergenceError, Spectrum, gap_with_error
+from .eigensolver import MIN_LEVEL, ConvergenceError, Spectrum, gap_with_error
 from .geometry import (
     EXCLUSION_RADIUS,
     GAP_THRESHOLD,
@@ -58,6 +58,7 @@ __all__ = [
     "certification_radius",
     "truncate_radius",
     "run_sweep",
+    "resume_point",
     "coverage_audit",
     "gap_grid",
     "format_cell_row",
@@ -161,6 +162,8 @@ class SweepPolicy:
             raise ValueError("exclusion_radius must be non-negative")
         if self.max_accuracy_rounds < 0:
             raise ValueError("max_accuracy_rounds must be non-negative")
+        if self.max_level is not None and self.max_level <= MIN_LEVEL:
+            raise ValueError(f"max_level must exceed the first level {MIN_LEVEL}")
 
 
 @dataclass(frozen=True)
@@ -208,44 +211,20 @@ class CertifiedCell:
                 )
 
 
+#: CertifiedCell's fields, one per CSV column and in CSV_COLUMNS order.
+_CELL_FIELDS = tuple(
+    f for _, f in zip(CSV_COLUMNS, fields(CertifiedCell), strict=True)
+)
+
+
 @dataclass
 class SweepState:
-    """Resumable position of a sweep, snapshotted at row boundaries."""
+    """Position of a sweep at a row boundary: row j starts at height y,
+    after cells_emitted cells."""
 
     j: int = 0
     y: float = THIN_STRIP_HEIGHT
     cells_emitted: int = 0
-    status: str = "running"
-    failure: str = ""
-
-    def to_text(self) -> str:
-        lines = [
-            f"j={self.j}",
-            f"y={format(self.y, '.17g')}",
-            f"cells_emitted={self.cells_emitted}",
-            f"status={self.status}",
-        ]
-        if self.failure:
-            lines.append(f"failure={self.failure}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SweepState":
-        state = cls()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in ("j", "cells_emitted"):
-                setattr(state, key, int(value))
-            elif key == "y":
-                state.y = float(value)
-            elif key in ("status", "failure"):
-                setattr(state, key, value)
-        return state
 
 
 @dataclass(frozen=True)
@@ -476,7 +455,6 @@ def run_sweep(
     *,
     solver: Solver | None = None,
     sink: Callable[[CertifiedCell], None] | None = None,
-    state_sink: Callable[[SweepState], None] | None = None,
     resume_from: SweepState | None = None,
     threads: int = 1,
     max_rows: int | None = None,
@@ -493,29 +471,25 @@ def run_sweep(
     next seed is solved while the rows below it finish, and at most
     ``threads`` rows are in flight past the last emitted one.  With one
     thread the solves run strictly in order: seed, rest of the row, next
-    seed.  At any thread count a row goes out as soon as it and every row
-    below it are done: its cells to ``sink`` in (j, i) order, then a
-    snapshot of the state after it to ``state_sink``.  Output and snapshots
-    are therefore independent of the thread count, and a run killed at any
-    point resumes from its last snapshot to the same final output.
+    seed.  At any thread count a row goes out to ``sink``, its cells in
+    (j, i) order, as soon as it and every row below it are done, so the
+    output is independent of the thread count.  The cells written so far
+    determine the position: a run killed at any point resumes from
+    ``resume_point`` of its cells to the same final output.
 
-    max_rows and max_cells stop the run at the next row boundary, leaving a
-    resumable state ("budget" result); rows already in flight past the stop
-    are cancelled or discarded.  A cell whose gap margin cannot be
-    certified, or whose digit-accuracy rule cannot be met, ends the run with
-    reason "failed" and the offending cell recorded.
+    max_rows and max_cells stop the run at the next row boundary ("budget"
+    result); rows already in flight past the stop are cancelled or
+    discarded.  A cell whose gap margin cannot be certified, or whose
+    digit-accuracy rule cannot be met, ends the run with reason "failed" and
+    the offending cell recorded; the certified cells of its row still go to
+    ``sink``, but the state stays at the start of that row.
     """
     policy = policy if policy is not None else SweepPolicy()
     solver = solver if solver is not None else _default_solver
     if threads < 1:
         raise ValueError("threads must be at least 1")
 
-    if resume_from is None:
-        state = SweepState(y=window.y0)
-    elif resume_from.status == "complete":
-        return SweepResult(cells=(), state=replace(resume_from), reason="complete")
-    else:
-        state = replace(resume_from, status="running", failure="")
+    state = SweepState(y=window.y0) if resume_from is None else replace(resume_from)
     first_j = state.j
     cells: list[CertifiedCell] = []
     rows: deque[_Row] = deque()  # started and not yet emitted, lowest first
@@ -526,22 +500,15 @@ def run_sweep(
         in_budget = max_rows is None or j - first_j < max_rows
         return in_budget and _in_region(window.x0, y, window, policy)
 
-    def finish(reason: str, failure: SweepFailure | None = None) -> SweepResult:
-        state.status = "running" if reason == "budget" else reason
-        state.failure = "" if failure is None else str(failure)
-        if state_sink is not None:
-            state_sink(state)
-        return SweepResult(tuple(cells), state, reason, failure)
-
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
         while True:
             if not _in_region(window.x0, state.y, window, policy):
-                return finish("complete")
+                return SweepResult(tuple(cells), state, "complete")
             if not startable(state.j, state.y) or (
                 max_cells is not None and state.cells_emitted >= max_cells
             ):
-                return finish("budget")
+                return SweepResult(tuple(cells), state, "budget")
             while True:
                 newest = rows[-1] if rows else None
                 if newest and newest.seed_in():
@@ -565,15 +532,55 @@ def run_sweep(
                 for cell in row_cells:
                     sink(cell)
             cells.extend(row_cells)
-            state.cells_emitted += len(row_cells)
             if failure is not None:
-                return finish("failed", failure)
+                return SweepResult(tuple(cells), state, "failed", failure)
+            state.cells_emitted += len(row_cells)
             state.y = _advance(state.y, row_cells[0].t_radius, window.y1)
             state.j += 1
-            if state_sink is not None:
-                state_sink(replace(state))
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def resume_point(
+    cells: Sequence[CertifiedCell], window: SweepWindow, policy: SweepPolicy
+) -> SweepState:
+    """The position after the last complete row of ``cells``, by replaying
+    the walk that wrote them.
+
+    Row j starts at (x0, y_j); each next cell sits one radius to the right
+    of the one before, and the row is complete once that position leaves
+    the region; row j+1 starts one seed radius above row j.  Cells of a
+    trailing unfinished row (from a killed or failed run) are left out of
+    the returned count.  Raises ValueError at the first cell that does not
+    continue this window's walk: a cell of another window, an edited or
+    missing cell, or cells past the end of the walk.  Positions compare
+    exactly; cells read back from ``cells_to_csv`` text replay bit for bit,
+    since it writes floats with 17 significant digits.
+    """
+    state = SweepState(y=window.y0)
+    n = 0
+    while n < len(cells) and _in_region(window.x0, state.y, window, policy):
+        x = window.x0
+        while _in_region(x, state.y, window, policy):
+            if n == len(cells):
+                return state
+            cell, i = cells[n], n - state.cells_emitted
+            if (cell.j, cell.i, cell.x, cell.y) != (state.j, i, x, state.y):
+                raise ValueError(
+                    f"cell j={cell.j}, i={cell.i} at ({cell.x!r}, {cell.y!r}) "
+                    f"does not continue the walk of this window's cells, where "
+                    f"j={state.j}, i={i} at ({x!r}, {state.y!r}) comes next"
+                )
+            x = _advance(x, cell.t_radius, window.x1)
+            n += 1
+        seed = cells[state.cells_emitted]
+        state = SweepState(state.j + 1, _advance(state.y, seed.t_radius, window.y1), n)
+    if n < len(cells):
+        raise ValueError(
+            f"cell j={cells[n].j}, i={cells[n].i} lies past the end of the walk "
+            f"of this window's cells"
+        )
+    return state
 
 
 def _fmt(value: object) -> str:
@@ -585,29 +592,16 @@ def _fmt(value: object) -> str:
 
 
 def format_cell_row(cell: CertifiedCell) -> str:
-    values = (
-        cell.j,
-        cell.i,
-        cell.x,
-        cell.y,
-        cell.lambda1,
-        cell.lambda2,
-        cell.xi,
-        cell.A_sum,
-        cell.t_prime,
-        cell.n_digits,
-        cell.d_digit,
-        cell.t_radius,
-        cell.err,
-        cell.accuracy_met,
-    )
-    return ",".join(_fmt(v) for v in values)
+    return ",".join(_fmt(getattr(cell, f.name)) for f in _CELL_FIELDS)
 
 
 def cells_to_csv(cells: Iterable[CertifiedCell], header: bool = True) -> str:
     lines = [",".join(CSV_COLUMNS)] if header else []
     lines.extend(format_cell_row(cell) for cell in cells)
     return "\n".join(lines) + "\n"
+
+
+_PARSE = {"int": int, "float": float, "bool": lambda text: text == "true"}
 
 
 def cells_from_csv(text: str) -> tuple[CertifiedCell, ...]:
@@ -620,24 +614,8 @@ def cells_from_csv(text: str) -> tuple[CertifiedCell, ...]:
         parts = line.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise ValueError(f"malformed cell row: {line!r}")
-        cells.append(
-            CertifiedCell(
-                j=int(parts[0]),
-                i=int(parts[1]),
-                x=float(parts[2]),
-                y=float(parts[3]),
-                lambda1=float(parts[4]),
-                lambda2=float(parts[5]),
-                xi=float(parts[6]),
-                A_sum=float(parts[7]),
-                t_prime=float(parts[8]),
-                n_digits=int(parts[9]),
-                d_digit=int(parts[10]),
-                t_radius=float(parts[11]),
-                err=float(parts[12]),
-                accuracy_met=parts[13] == "true",
-            )
-        )
+        values = (_PARSE[f.type](part) for f, part in zip(_CELL_FIELDS, parts))
+        cells.append(CertifiedCell(*values))
     return tuple(cells)
 
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from trigap import cli
+from trigap import cli, sweep
 from trigap.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, _default_threads, main
 
 
@@ -80,20 +80,21 @@ def test_sweep_interrupt_resume_byte_identical(capsys, tmp_path):
     )
     assert code == EXIT_BUDGET
     assert "stopped at the row boundary" in stdout
-    state_text = (tmp_path / "part.csv.state").read_text()
-    assert "status=running" in state_text
 
     code, stdout, _ = run(capsys, "sweep", *SWEEP_ARGS, "--out", str(part), "--resume")
     assert code == EXIT_OK
     assert full.read_bytes() == part.read_bytes()
-    assert "status=complete" in (tmp_path / "part.csv.state").read_text()
+    # the CSV is the only file a sweep writes
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["full.csv", "part.csv"]
 
 
 def test_sweep_resume_without_state_file(capsys, tmp_path):
+    # with no CSV there is nothing to resume from
     out = tmp_path / "cells.csv"
     code, _, stderr = run(capsys, "sweep", *SWEEP_ARGS, "--out", str(out), "--resume")
     assert code == EXIT_USAGE
-    assert "state" in stderr
+    assert "error: cannot resume" in stderr
+    assert not out.exists()
 
 
 def test_sweep_resume_with_mismatched_csv(capsys, tmp_path):
@@ -102,12 +103,23 @@ def test_sweep_resume_with_mismatched_csv(capsys, tmp_path):
         capsys, "sweep", *SWEEP_ARGS, "--out", str(out), "--max-rows", "1"
     )
     assert code == EXIT_BUDGET
-    # drop the last data line so the cell count disagrees with the state
-    lines = out.read_text().splitlines()
-    out.write_text("\n".join(lines[:-1]) + "\n")
-    code, _, stderr = run(capsys, "sweep", *SWEEP_ARGS, "--out", str(out), "--resume")
+    written = out.read_bytes()
+    # cells of one window do not continue the walk of another
+    code, _, stderr = run(
+        capsys,
+        "sweep",
+        "--window",
+        "0.5,0.51,0.4001,0.41",
+        "--accuracy",
+        "0.25",
+        "--out",
+        str(out),
+        "--resume",
+    )
     assert code == EXIT_USAGE
+    assert "error:" in stderr
     assert "cells" in stderr
+    assert out.read_bytes() == written
 
 
 def test_sweep_resume_drops_cells_of_unfinished_row(capsys, tmp_path):
@@ -191,11 +203,44 @@ def test_sweep_killed_before_first_row_resumes(capsys, tmp_path, monkeypatch):
         m.setattr(cli, "run_sweep", killed)
         with pytest.raises(KeyboardInterrupt):
             main(["sweep", *SWEEP_ARGS, "--out", str(part), "--no-audit"])
-    assert (tmp_path / "part.csv.state").is_file()
+    # the header alone is a position to resume from
+    assert part.read_text() == full.read_text().splitlines(keepends=True)[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["full.csv", "part.csv"]
     code, _, _ = run(
         capsys, "sweep", *SWEEP_ARGS, "--out", str(part), "--resume", "--no-audit"
     )
     assert code == EXIT_OK
+    assert full.read_bytes() == part.read_bytes()
+
+
+def test_sweep_resume_after_failed_row_writes_it_once(capsys, tmp_path, monkeypatch):
+    full = tmp_path / "full.csv"
+    part = tmp_path / "part.csv"
+    code, _, _ = run(capsys, "sweep", *SWEEP_ARGS, "--out", str(full), "--no-audit")
+    assert code == EXIT_OK
+
+    solves = []
+    solve = sweep._default_solver
+
+    def flaky(triangle, target, max_level):
+        solves.append(target)
+        if len(solves) == 3:
+            raise sweep.SweepFailure("margin", "stub failure")
+        return solve(triangle, target, max_level)
+
+    with monkeypatch.context() as m:
+        m.setattr(sweep, "_default_solver", flaky)
+        code, _, stderr = run(
+            capsys, "sweep", *SWEEP_ARGS, "--out", str(part), "--no-audit"
+        )
+    assert code == EXIT_FAIL
+    assert "stub failure" in stderr
+    code, stdout, stderr = run(
+        capsys, "sweep", *SWEEP_ARGS, "--out", str(part), "--resume"
+    )
+    assert code == EXIT_OK
+    assert "note: dropped 2 cells of unfinished row 0" in stderr
+    assert "audit uncovered = 0" in stdout
     assert full.read_bytes() == part.read_bytes()
 
 
@@ -226,6 +271,24 @@ def test_sweep_rejects_bad_threads(capsys, tmp_path):
     )
     assert code == EXIT_USAGE
     assert "error:" in stderr
+
+
+@pytest.mark.parametrize("resume", [(), ("--resume",)], ids=["fresh", "resume"])
+@pytest.mark.parametrize(
+    "bad", [("--threads", "0"), ("--max-level", "4")], ids=["threads", "max_level"]
+)
+def test_sweep_usage_error_keeps_existing_csv(capsys, tmp_path, bad, resume):
+    out = tmp_path / "keep.csv"
+    code, _, _ = run(
+        capsys, "sweep", *SWEEP_ARGS, "--out", str(out), "--max-rows", "1"
+    )
+    assert code == EXIT_BUDGET
+    kept = out.read_bytes()
+    code, _, stderr = run(capsys, "sweep", *SWEEP_ARGS, "--out", str(out), *bad, *resume)
+    assert code == EXIT_USAGE
+    assert "error:" in stderr
+    assert out.read_bytes() == kept
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv"]
 
 
 # ---------------------------------------------------------------- scaling

@@ -1,11 +1,13 @@
 """Tests for the certified sweep: radii, truncation, orchestration, audit."""
 
+import itertools
 import math
 import threading
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from trigap.eigensolver import Spectrum
 from trigap.geometry import EQUILATERAL_APEX, GAP_THRESHOLD
@@ -24,6 +26,7 @@ from trigap.sweep import (
     coverage_audit,
     format_cell_row,
     gap_grid,
+    resume_point,
     run_sweep,
     truncate_radius,
 )
@@ -48,13 +51,12 @@ def make_solver(lam1=53.0, lam2=131.0, err=1e-9, met=True):
 
 
 WINDOW = SweepWindow(0.5, 0.52, 0.4, 0.42)
+POLICY = SweepPolicy()
 
 
-def snapshot_texts(**kwargs):
-    """State snapshots of a one-thread run, as text."""
-    snapshots = []
-    run_sweep(WINDOW, solver=make_solver(), state_sink=snapshots.append, **kwargs)
-    return [s.to_text() for s in snapshots]
+def replayed(cells, window=WINDOW):
+    """The resume position of the given cells on the default policy."""
+    return resume_point(cells, window, POLICY)
 
 
 # ---------------------------------------------------------------- radii
@@ -172,16 +174,13 @@ def test_cell_csv_round_trip():
 
 
 def test_state_text_round_trip():
-    state = SweepState(j=3, y=0.44, cells_emitted=31, status="running")
-    text = state.to_text()
-    back = SweepState.from_text(text)
-    assert back == state
-    # unknown keys are tolerated for forward compatibility
-    back2 = SweepState.from_text(text + "future_key=1\n")
-    assert back2 == state
-    # state files that still carry the row position and seed radius load
-    older = "j=3\ni=7\nx=0.52\ny=0.44\nseed_radius=0.008\ncells_emitted=31\n"
-    assert SweepState.from_text(older + "status=running\n") == state
+    # the CSV text is the only record of a position: the cells read back
+    # replay to the run's state, y bit for bit
+    for max_rows in (1, 3, None):
+        result = run_sweep(WINDOW, solver=make_solver(), max_rows=max_rows)
+        back = replayed(cells_from_csv(cells_to_csv(result.cells)))
+        assert back == result.state
+        assert back.y.hex() == result.state.y.hex()
 
 
 # ---------------------------------------------------------------- run_sweep
@@ -190,7 +189,7 @@ def test_state_text_round_trip():
 def test_sweep_completes_and_orders_cells():
     result = run_sweep(WINDOW, solver=make_solver())
     assert result.reason == "complete"
-    assert result.state.status == "complete"
+    assert result.state.y > WINDOW.y1  # the next row lies past the window
     keys = [(c.j, c.i) for c in result.cells]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
@@ -209,35 +208,27 @@ def test_sweep_deterministic_and_thread_invariant():
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_sweep_budget_stops_at_row_boundary(threads):
-    snapshots = []
-    result = run_sweep(
-        WINDOW,
-        solver=make_solver(),
-        max_cells=3,
-        threads=threads,
-        state_sink=snapshots.append,
-    )
+    result = run_sweep(WINDOW, solver=make_solver(), max_cells=3, threads=threads)
     assert result.reason == "budget"
-    assert result.state.status == "running"
     rows = {c.j for c in result.cells}
     assert rows == {0}  # whole first row, nothing beyond
     assert len(result.cells) >= 3
-    assert [s.to_text() for s in snapshots] == snapshot_texts(max_cells=3)
+    assert result.state == replayed(result.cells)
+    assert (result.state.j, result.state.cells_emitted) == (1, len(result.cells))
+    sequential = run_sweep(WINDOW, solver=make_solver(), max_cells=3)
+    assert cells_to_csv(result.cells) == cells_to_csv(sequential.cells)
+    assert result.state == sequential.state
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_sweep_max_rows(threads):
-    snapshots = []
-    result = run_sweep(
-        WINDOW,
-        solver=make_solver(),
-        max_rows=1,
-        threads=threads,
-        state_sink=snapshots.append,
-    )
+    result = run_sweep(WINDOW, solver=make_solver(), max_rows=1, threads=threads)
     assert result.reason == "budget"
     assert {c.j for c in result.cells} == {0}
-    assert [s.to_text() for s in snapshots] == snapshot_texts(max_rows=1)
+    assert result.state == replayed(result.cells)
+    sequential = run_sweep(WINDOW, solver=make_solver(), max_rows=1)
+    assert cells_to_csv(result.cells) == cells_to_csv(sequential.cells)
+    assert result.state == sequential.state
 
 
 def test_sweep_threaded_budget_stops_within_a_row():
@@ -266,7 +257,7 @@ def test_sweep_threaded_budget_stops_within_a_row():
 @pytest.mark.parametrize("resume_threads", [1, 3])
 def test_sweep_killed_threaded_run_resumes_to_identical_csv(resume_threads):
     full = cells_to_csv(run_sweep(WINDOW, solver=make_solver()).cells)
-    written, snapshots = [], []
+    written = []
 
     def sink(cell):
         if len(written) == 15:  # partway through the second row
@@ -280,13 +271,11 @@ def test_sweep_killed_threaded_run_resumes_to_identical_csv(resume_threads):
             solver=make_solver(),
             threads=2,
             sink=sink,
-            state_sink=snapshots.append,
         )
     assert threading.active_count() == threads_before  # the pool is shut down
-    assert snapshots, "no snapshot was written before the kill"
-    last = SweepState.from_text(snapshots[-1].to_text())
-    assert 0 < last.cells_emitted <= len(written)
-    # cells written past the last snapshot belong to the unfinished row
+    last = replayed(cells_from_csv(cells_to_csv(written)))
+    assert 0 < last.cells_emitted < len(written)
+    # cells written past the last complete row belong to the unfinished row
     assert all(c.j == last.j for c in written[last.cells_emitted :])
     rest = run_sweep(
         WINDOW, solver=make_solver(), resume_from=last, threads=resume_threads
@@ -297,23 +286,17 @@ def test_sweep_killed_threaded_run_resumes_to_identical_csv(resume_threads):
 
 def test_sweep_resume_stitches_to_identical_csv():
     full = run_sweep(WINDOW, solver=make_solver())
-    snapshots = []
-    first = run_sweep(
-        WINDOW, solver=make_solver(), max_rows=1, state_sink=snapshots.append
-    )
-    assert snapshots
-    rest = run_sweep(WINDOW, solver=make_solver(), resume_from=snapshots[-1])
+    first = run_sweep(WINDOW, solver=make_solver(), max_rows=1)
+    assert first.state == replayed(first.cells)
+    rest = run_sweep(WINDOW, solver=make_solver(), resume_from=first.state)
     stitched = list(first.cells) + list(rest.cells)
     assert cells_to_csv(stitched) == cells_to_csv(full.cells)
     assert rest.reason == "complete"
 
 
 def test_sweep_resume_round_trips_through_text():
-    snapshots = []
-    first = run_sweep(
-        WINDOW, solver=make_solver(), max_rows=2, state_sink=snapshots.append
-    )
-    revived = SweepState.from_text(snapshots[-1].to_text())
+    first = run_sweep(WINDOW, solver=make_solver(), max_rows=2)
+    revived = replayed(cells_from_csv(cells_to_csv(first.cells)))
     rest = run_sweep(WINDOW, solver=make_solver(), resume_from=revived)
     full = run_sweep(WINDOW, solver=make_solver())
     stitched = list(first.cells) + list(rest.cells)
@@ -321,21 +304,22 @@ def test_sweep_resume_round_trips_through_text():
 
 
 def test_sweep_resume_of_complete_state_is_a_no_op():
-    snapshots = []
-    run_sweep(WINDOW, solver=make_solver(), state_sink=snapshots.append)
-    done = snapshots[-1]
-    assert done.status == "complete"
+    full = run_sweep(WINDOW, solver=make_solver())
+    done = replayed(full.cells)
+    assert done == full.state
     result = run_sweep(WINDOW, solver=make_solver(), resume_from=done)
     assert result.reason == "complete"
     assert result.cells == ()
+    assert result.state == done
 
 
 def test_sweep_resume_thread_invariant():
-    snapshots = []
-    run_sweep(WINDOW, solver=make_solver(), max_rows=1, state_sink=snapshots.append)
-    seq = run_sweep(WINDOW, solver=make_solver(), resume_from=snapshots[-1])
-    par = run_sweep(WINDOW, solver=make_solver(), resume_from=snapshots[-1], threads=3)
+    first = run_sweep(WINDOW, solver=make_solver(), max_rows=1)
+    point = replayed(first.cells)
+    seq = run_sweep(WINDOW, solver=make_solver(), resume_from=point)
+    par = run_sweep(WINDOW, solver=make_solver(), resume_from=point, threads=3)
     assert cells_to_csv(seq.cells) == cells_to_csv(par.cells)
+    assert seq.state == par.state
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -347,14 +331,17 @@ def test_sweep_sink_receives_cells_in_order(threads):
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_sweep_state_snapshots_advance(threads):
-    snapshots = []
-    run_sweep(
-        WINDOW, solver=make_solver(), state_sink=snapshots.append, threads=threads
-    )
-    assert snapshots[-1].status == "complete"
-    counts = [s.cells_emitted for s in snapshots]
+    result = run_sweep(WINDOW, solver=make_solver(), threads=threads)
+    # the position replayed after every cell moves forward a row at a time
+    points = [replayed(result.cells[:n]) for n in range(len(result.cells) + 1)]
+    counts = [p.cells_emitted for p in points]
     assert counts == sorted(counts)
-    assert [s.to_text() for s in snapshots] == snapshot_texts()
+    rows = sorted({p.j for p in points})
+    assert rows == list(range(len(rows)))
+    assert points[-1] == result.state
+    sequential = run_sweep(WINDOW, solver=make_solver())
+    assert cells_to_csv(result.cells) == cells_to_csv(sequential.cells)
+    assert result.state == sequential.state
 
 
 def test_sweep_margin_failure_records_position():
@@ -365,7 +352,7 @@ def test_sweep_margin_failure_records_position():
     assert result.failure is not None
     assert result.failure.reason == "margin"
     assert (result.failure.j, result.failure.i) == (0, 0)
-    assert result.state.status == "failed"
+    assert result.state == SweepState(y=WINDOW.y0)
     assert result.cells == ()
 
 
@@ -422,6 +409,94 @@ def test_sweep_threaded_failure_matches_sequential():
     assert par.reason == seq.reason == "failed"
     assert cells_to_csv(par.cells) == cells_to_csv(seq.cells)
     assert (par.failure.j, par.failure.i) == (seq.failure.j, seq.failure.i)
+
+
+# ---------------------------------------------------------------- resume
+
+
+def test_sweep_resume_after_failed_row_writes_it_once():
+    # the 8th solve fails partway through a row: its certified cells reach
+    # the sink, but the position stays at the start of that row
+    full = run_sweep(WINDOW, solver=make_solver())
+    solves = itertools.count(1)
+
+    def flaky(triangle, target, max_level=None):
+        if next(solves) == 8:
+            raise SweepFailure("margin", "stub failure")
+        return make_solver()(triangle, target, max_level)
+
+    written = []
+    failed = run_sweep(WINDOW, solver=flaky, sink=written.append)
+    assert failed.reason == "failed"
+    assert list(failed.cells) == written
+    assert failed.state.cells_emitted < len(written)
+    point = replayed(written)
+    assert point == failed.state
+    rest = run_sweep(WINDOW, solver=make_solver(), resume_from=point)
+    assert rest.reason == "complete"
+    stitched = written[: point.cells_emitted] + list(rest.cells)
+    assert cells_to_csv(stitched) == cells_to_csv(full.cells)
+
+
+def sloped_solver(a, b):
+    """Stub whose gap, and so its radius, changes with the apex."""
+
+    def solver(triangle, target, max_level=None):
+        dx, dy = triangle.apex_x - 0.5, triangle.apex_y - 0.4
+        return make_solver(lam2=131.0 + a * dx - b * dy)(triangle, target, max_level)
+
+    return solver
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(0.0, 150.0), st.floats(0.0, 150.0))
+def test_resume_point_matches_the_run_at_every_cut(a, b):
+    solver = sloped_solver(a, b)
+    full = run_sweep(WINDOW, solver=solver)
+    cells = full.cells
+    rows = len({c.j for c in cells})
+    # the run's own state after k complete rows, k = 0 .. rows
+    states = [run_sweep(WINDOW, solver=solver, max_rows=k).state for k in range(rows)]
+    states.append(full.state)
+    ends = [s.cells_emitted for s in states]
+    for n in range(len(cells) + 1):
+        k = max(k for k, end in enumerate(ends) if end <= n)
+        assert replayed(cells[:n]) == states[k]
+    for state in states:
+        rest = run_sweep(WINDOW, solver=solver, resume_from=state)
+        stitched = cells[: state.cells_emitted] + rest.cells
+        assert cells_to_csv(stitched) == cells_to_csv(cells)
+
+
+def test_sloped_stub_rows_differ_and_end_on_the_edge():
+    # the property above covers rows of different lengths and edge clamps
+    cells = run_sweep(WINDOW, solver=sloped_solver(150.0, 0.0)).cells
+    lengths = [sum(1 for c in cells if c.j == j) for j in range(cells[-1].j + 1)]
+    assert len(set(lengths)) > 1
+    assert any(c.x == WINDOW.x1 for c in cells)
+    assert cells[-1].y == WINDOW.y1
+
+
+def off_the_walk(case):
+    cells = list(run_sweep(WINDOW, solver=make_solver()).cells)
+    if case == "another_window":
+        return cells, SweepWindow(0.5, 0.52, 0.4001, 0.42)
+    if case == "skipped_cell":
+        return cells[:3] + cells[4:], WINDOW
+    if case == "edited_x":
+        cells[5] = replace(cells[5], x=cells[5].x + 1e-12)
+        return cells, WINDOW
+    return cells + cells[-1:], WINDOW  # past the end of the walk
+
+
+@pytest.mark.parametrize(
+    "case", ["another_window", "skipped_cell", "edited_x", "past_the_end"]
+)
+def test_resume_point_rejects_cells_off_the_walk(case):
+    cells, window = off_the_walk(case)
+    with pytest.raises(ValueError, match="cell j=") as info:
+        resume_point(cells, window, POLICY)
+    assert "walk" in str(info.value)
 
 
 def test_window_validation():

@@ -4,11 +4,13 @@ The traced benchmark run swaps the module attributes of
 ``trigap.eigensolver`` for timing wrappers, so every refinement level of
 ``gap_with_error`` must pass through ``solve_triangle(verts, level, ...)``,
 which reaches ``build_mesh`` (result with ``.level``), ``assemble`` (result
-with ``.stiffness``) and ``smallest_eigenpairs`` by attribute lookup.
+with ``.stiffness``) and ``smallest_eigenpairs`` by attribute lookup.  The
+sweep workloads call ``run_sweep`` with a solver hook and audit its cells.
 """
 
 from trigap import eigensolver
 from trigap.geometry import Triangle
+from trigap.sweep import SweepPolicy, SweepWindow, coverage_audit, run_sweep
 
 LAYERS = ("solve_triangle", "build_mesh", "assemble", "smallest_eigenpairs")
 
@@ -35,3 +37,23 @@ def test_every_level_passes_through_the_traced_attributes(monkeypatch):
     assert [system.stiffness.shape[0] for _, system in calls["assemble"]] == unknowns
     assert len(calls["smallest_eigenpairs"]) == len(levels)
     assert [solve[:2] for solve in spectrum.solves] == list(zip(levels, unknowns))
+
+
+def test_sweep_call_shape_of_the_benchmark():
+    # The benchmark's sweep workloads pass a (triangle, target, max_level)
+    # hook to run_sweep at two threads, read .cells, .reason and .failure,
+    # and audit the cells.
+    window = SweepWindow(0.5, 0.5005, 0.70, 0.7005)
+    policy = SweepPolicy(initial_accuracy=0.25, max_level=8)
+    calls = []
+
+    def hook(triangle, target, max_level):
+        calls.append((triangle.apex_x, triangle.apex_y, target, max_level))
+        return eigensolver.gap_with_error(triangle, target, max_level=max_level)
+
+    result = run_sweep(window, policy, solver=hook, threads=2)
+    assert result.reason == "complete"
+    assert result.failure is None
+    assert len(calls) >= len(result.cells) > 0
+    assert all(max_level == 8 for *_, max_level in calls)
+    assert coverage_audit(result.cells, window).passed
