@@ -109,8 +109,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--out", default="sweep_cells.csv")
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--max-cells", type=int, default=None)
-    p.add_argument("--max-rows", type=int, default=None)
+    p.add_argument(
+        "--max-cells",
+        type=int,
+        default=None,
+        help="stop at the first row boundary once this run has written this "
+        "many cells (a resumed run counts from zero, as --max-rows does)",
+    )
+    p.add_argument(
+        "--max-rows",
+        type=int,
+        default=None,
+        help="stop after this many rows of this run",
+    )
     p.add_argument("--no-audit", action="store_true")
     p.add_argument("--audit-spacing", type=float, default=1e-4)
 

@@ -23,6 +23,8 @@ ball, complement of the region) leave no point of the window uncovered.
 
 from __future__ import annotations
 
+import ctypes
+import importlib
 import math
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
@@ -89,6 +91,15 @@ CSV_COLUMNS = (
 )
 
 Solver = Callable[[Triangle, float, "int | None"], Spectrum]
+
+#: An extension module linked to each OpenBLAS that numpy and scipy load,
+#: and the suffix of that build's thread-count symbols: numpy's serves
+#: ``@``, ``cholesky`` and ``eigh``; scipy's serves ``solve_triangular`` and
+#: SuperLU.
+_OPENBLAS_LINKS = (
+    ("numpy.linalg._umath_linalg", "64_"),
+    ("scipy.sparse.linalg._dsolve._superlu", ""),
+)
 
 
 class SweepFailure(Exception):
@@ -419,6 +430,25 @@ def _certify_row(
     return cells, None
 
 
+def _pin_blas_threads(count: int) -> list[tuple[Callable[[int], None], int]]:
+    """Set each loaded OpenBLAS that exports a thread-count control to count
+    threads; returns each setter with the count it had before, to be
+    restored in reverse order."""
+    saved = []
+    for module, suffix in _OPENBLAS_LINKS:
+        lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        try:
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        saved.append((set_, get()))
+        set_(count)
+    return saved
+
+
 @dataclass
 class _Row:
     """A started row: the solve of its seed, then of the rest of the row."""
@@ -475,14 +505,19 @@ def run_sweep(
     (j, i) order, as soon as it and every row below it are done, so the
     output is independent of the thread count.  The cells written so far
     determine the position: a run killed at any point resumes from
-    ``resume_point`` of its cells to the same final output.
+    ``resume_point`` of its cells to the same final output.  While a pool of
+    more than one worker runs, every loaded OpenBLAS is set to one thread,
+    so the workers do not compete for cores with BLAS threads of their own;
+    the setting is process-wide, and the previous counts come back when the
+    run returns or raises.
 
-    max_rows and max_cells stop the run at the next row boundary ("budget"
-    result); rows already in flight past the stop are cancelled or
-    discarded.  A cell whose gap margin cannot be certified, or whose
-    digit-accuracy rule cannot be met, ends the run with reason "failed" and
-    the offending cell recorded; the certified cells of its row still go to
-    ``sink``, but the state stays at the start of that row.
+    max_rows and max_cells count the rows and cells of this run, not of the
+    run it resumes, and stop it at the next row boundary ("budget" result);
+    rows already in flight past the stop are cancelled or discarded.  A cell
+    whose gap margin cannot be certified, or whose digit-accuracy rule cannot
+    be met, ends the run with reason "failed" and the offending cell
+    recorded; the certified cells of its row still go to ``sink``, but the
+    state stays at the start of that row.
     """
     policy = policy if policy is not None else SweepPolicy()
     solver = solver if solver is not None else _default_solver
@@ -501,12 +536,13 @@ def run_sweep(
         return in_budget and _in_region(window.x0, y, window, policy)
 
     pool = ThreadPoolExecutor(max_workers=threads)
+    blas_threads = _pin_blas_threads(1) if threads > 1 else []
     try:
         while True:
             if not _in_region(window.x0, state.y, window, policy):
                 return SweepResult(tuple(cells), state, "complete")
             if not startable(state.j, state.y) or (
-                max_cells is not None and state.cells_emitted >= max_cells
+                max_cells is not None and len(cells) >= max_cells
             ):
                 return SweepResult(tuple(cells), state, "budget")
             while True:
@@ -539,6 +575,8 @@ def run_sweep(
             state.j += 1
     finally:
         pool.shutdown(cancel_futures=True)
+        for set_threads, count in reversed(blas_threads):
+            set_threads(count)
 
 
 def resume_point(

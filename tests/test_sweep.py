@@ -1,5 +1,7 @@
 """Tests for the certified sweep: radii, truncation, orchestration, audit."""
 
+import ctypes
+import importlib
 import itertools
 import math
 import threading
@@ -231,6 +233,27 @@ def test_sweep_max_rows(threads):
     assert result.state == sequential.state
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_resumed_budgets_count_this_run_only(threads):
+    # max_cells, like max_rows, counts from where the resumed run starts
+    first = run_sweep(WINDOW, solver=make_solver(), max_rows=1)
+    assert len(first.cells) == 11
+    by_cells = run_sweep(
+        WINDOW,
+        solver=make_solver(),
+        resume_from=first.state,
+        max_cells=3,
+        threads=threads,
+    )
+    by_rows = run_sweep(
+        WINDOW, solver=make_solver(), resume_from=first.state, max_rows=1
+    )
+    assert by_cells.reason == by_rows.reason == "budget"
+    assert {c.j for c in by_cells.cells} == {1}
+    assert by_cells.cells == by_rows.cells
+    assert by_cells.state == by_rows.state == replayed(first.cells + by_cells.cells)
+
+
 def test_sweep_threaded_budget_stops_within_a_row():
     # the pool runs at most one row past the stop, not the whole window
     def counted():
@@ -342,6 +365,101 @@ def test_sweep_state_snapshots_advance(threads):
     sequential = run_sweep(WINDOW, solver=make_solver())
     assert cells_to_csv(result.cells) == cells_to_csv(sequential.cells)
     assert result.state == sequential.state
+
+
+def openblas_controls(verb):
+    """scipy_openblas_<verb>_num_threads of numpy's and scipy's OpenBLAS,
+    found through extension modules that link them; raises AttributeError
+    if either library lacks the control."""
+    controls = []
+    for module, suffix in (
+        ("numpy.linalg._umath_linalg", "64_"),
+        ("scipy.sparse.linalg._dsolve._superlu", ""),
+    ):
+        lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        control = getattr(lib, f"scipy_openblas_{verb}_num_threads{suffix}")
+        if verb == "get":
+            control.argtypes, control.restype = [], ctypes.c_int
+        else:
+            control.argtypes, control.restype = [ctypes.c_int], None
+        controls.append(control)
+    return controls
+
+
+def openblas_thread_counts():
+    return tuple(get() for get in openblas_controls("get"))
+
+
+@pytest.fixture
+def blas_counts():
+    """Set numpy's OpenBLAS to 3 threads and scipy's to 2, so a pin, a
+    restore and a swap between the two all show; the originals come back
+    after the test."""
+    original = openblas_thread_counts()
+    setters = openblas_controls("set")
+    for set_, count in zip(setters, (3, 2)):
+        set_(count)
+    assert openblas_thread_counts() == (3, 2)
+    try:
+        yield (3, 2)
+    finally:
+        for set_, count in zip(setters, original):
+            set_(count)
+
+
+def counting_blas(fail_on=None):
+    """Stub solver that records both OpenBLAS thread counts at every solve,
+    failing the margin from solve number fail_on on."""
+    seen = []
+    good, bad = make_solver(), make_solver(lam2=123.0)
+
+    def solver(triangle, target, max_level=None):
+        seen.append(openblas_thread_counts())
+        failing = fail_on is not None and len(seen) >= fail_on
+        return (bad if failing else good)(triangle, target, max_level)
+
+    return solver, seen
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pool_workers_run_with_one_blas_thread(blas_counts, threads):
+    solver, seen = counting_blas()
+    result = run_sweep(WINDOW, solver=solver, threads=threads)
+    assert result.reason == "complete"
+    assert len(seen) == len(result.cells)
+    inside = (1, 1) if threads > 1 else blas_counts
+    assert set(seen) == {inside}
+    assert openblas_thread_counts() == blas_counts
+
+
+def test_blas_threads_restored_after_failed_run(blas_counts):
+    solver, seen = counting_blas(fail_on=8)
+    result = run_sweep(WINDOW, solver=solver, threads=2)
+    assert result.reason == "failed"
+    assert set(seen) == {(1, 1)}
+    assert openblas_thread_counts() == blas_counts
+
+
+def test_blas_threads_restored_after_solver_raises(blas_counts):
+    def broken(triangle, target, max_level=None):
+        raise RuntimeError("solver crashed")
+
+    with pytest.raises(RuntimeError, match="solver crashed"):
+        run_sweep(WINDOW, solver=broken, threads=2)
+    assert openblas_thread_counts() == blas_counts
+
+
+def test_blas_threads_restored_after_interrupt_in_sink(blas_counts):
+    solver, seen = counting_blas()
+
+    def sink(cell):
+        if cell.j == 1:
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(WINDOW, solver=solver, sink=sink, threads=2)
+    assert seen and set(seen) == {(1, 1)}
+    assert openblas_thread_counts() == blas_counts
 
 
 def test_sweep_margin_failure_records_position():
@@ -632,3 +750,7 @@ def test_real_solver_small_window():
         assert cell.accuracy_met
     report = coverage_audit(result.cells, window)
     assert report.passed
+    # one BLAS thread per pool worker gives the same bytes as the serial run
+    threaded = run_sweep(window, policy=SweepPolicy(initial_accuracy=0.25), threads=2)
+    assert threaded.reason == "complete"
+    assert cells_to_csv(threaded.cells) == cells_to_csv(result.cells)
