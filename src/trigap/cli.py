@@ -98,14 +98,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=int, default=None)
     p.add_argument("--out", default=None, help="optional CSV path")
 
+    defaults = SweepPolicy()
     p = sub.add_parser("sweep", help="certified sweep over an apex window")
     p.add_argument("--window", default="0.5,1.0,0.3,0.95", help="x0,x1,y0,y1")
     p.add_argument(
-        "--accuracy", type=float, default=0.25, help="initial per-cell gap target"
+        "--accuracy",
+        type=float,
+        default=defaults.initial_accuracy,
+        help="initial per-cell gap target",
     )
-    p.add_argument("--exclusion-radius", type=float, default=4e-4)
-    p.add_argument("--max-rounds", type=int, default=3)
-    p.add_argument("--max-level", type=int, default=None)
+    p.add_argument("--exclusion-radius", type=float, default=defaults.exclusion_radius)
+    p.add_argument("--max-rounds", type=int, default=defaults.max_accuracy_rounds)
+    p.add_argument("--max-level", type=int, default=defaults.max_level)
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--out", default="sweep_cells.csv")
     p.add_argument("--resume", action="store_true")
@@ -268,6 +272,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         if args.threads < 1:
             raise ValueError("--threads must be at least 1")
+        budgets = {"--max-rows": args.max_rows, "--max-cells": args.max_cells}
+        for flag, budget in budgets.items():
+            if budget is not None and budget < 0:
+                raise ValueError(f"{flag} must be non-negative")
+        if not args.audit_spacing > 0.0:
+            raise ValueError("--audit-spacing must be positive")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

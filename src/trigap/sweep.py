@@ -27,9 +27,10 @@ import ctypes
 import importlib
 import math
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, fields, replace
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -228,10 +229,10 @@ _CELL_FIELDS = tuple(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepState:
     """Position of a sweep at a row boundary: row j starts at height y,
-    after cells_emitted cells."""
+    after cells_emitted cells.  A value: the walk replaces it row by row."""
 
     j: int = 0
     y: float = THIN_STRIP_HEIGHT
@@ -316,15 +317,12 @@ def _certify_cell(
 ) -> CertifiedCell:
     """Solve, derive the radius, and tighten accuracy until the digit rule holds."""
     target = policy.initial_accuracy
-    last: tuple[float, float] | None = None
     for _ in range(policy.max_accuracy_rounds + 1):
         spectrum = solver(Triangle(x, y), target, policy.max_level)
         err = spectrum.xi_error
         lam1, lam2 = spectrum.eigenvalues
         xi = spectrum.xi
         a_sum = lam1 + lam2
-        last = (xi, err)
-        next_target = None
         if xi - err > GAP_THRESHOLD:
             t_cons = certification_radius(xi - err, a_sum + err, y)
             t_opt = certification_radius(xi, a_sum, y)
@@ -357,28 +355,12 @@ def _certify_cell(
         if not spectrum.accuracy_met or next_target >= target:
             break
         target = next_target
-    xi, err = last if last is not None else (float("nan"), float("nan"))
+    # the loop runs at least once, so xi and err are those of the last round
     if not xi - 2.0 * err > GAP_THRESHOLD:
-        raise SweepFailure(
-            "margin",
-            "gap margin not certifiable",
-            j=j,
-            i=i,
-            x=x,
-            y=y,
-            xi=xi,
-            err=err,
-        )
-    raise SweepFailure(
-        "accuracy",
-        "digit-rule accuracy not met",
-        j=j,
-        i=i,
-        x=x,
-        y=y,
-        xi=xi,
-        err=err,
-    )
+        reason, message = "margin", "gap margin not certifiable"
+    else:
+        reason, message = "accuracy", "digit-rule accuracy not met"
+    raise SweepFailure(reason, message, j=j, i=i, x=x, y=y, xi=xi, err=err)
 
 
 def _advance(pos: float, t: float, limit: float) -> float:
@@ -396,6 +378,14 @@ def _advance(pos: float, t: float, limit: float) -> float:
     return nxt
 
 
+def _row_above(y: float, seed: CertifiedCell, window: SweepWindow) -> float:
+    """Height of the row above the row at y whose first cell is seed: one
+    seed radius up, clamped to the window's top edge.  This is the only
+    row-height rule: the look-ahead and the emitted state of run_sweep, and
+    the replay of resume_point, all take row heights from here."""
+    return _advance(y, seed.t_radius, window.y1)
+
+
 def _in_region(x: float, y: float, window: SweepWindow, policy: SweepPolicy) -> bool:
     """Whether a cell at (x, y) lies in the window and the sweep region: the
     check on every advanced cell and seed.  Cells only move up and right
@@ -407,26 +397,28 @@ def _in_region(x: float, y: float, window: SweepWindow, policy: SweepPolicy) -> 
 def _certify_row(
     j: int,
     y: float,
-    x: float,
-    i: int,
+    row: list[CertifiedCell],
     window: SweepWindow,
     policy: SweepPolicy,
-    solver: Solver,
+    certify: Callable[[int, int, float, float], CertifiedCell],
 ) -> tuple[list[CertifiedCell], SweepFailure | None]:
-    """Certify row j from cell i at x rightwards until it leaves the region.
+    """Certify row j at height y rightwards, after the cells it already has
+    in ``row``, until it leaves the region.
 
-    Returns the cells certified and the failure that ended the row early,
-    if any.
+    Each next cell sits one radius to the right of the one before; cell i at
+    x comes from ``certify(j, i, x, y)``, which raises SweepFailure when the
+    cell cannot be certified.  Returns the row's cells and the failure that
+    ended the row early, if any.
     """
-    cells: list[CertifiedCell] = []
+    cells = list(row)
+    x = _advance(cells[-1].x, cells[-1].t_radius, window.x1) if cells else window.x0
     while _in_region(x, y, window, policy):
         try:
-            cell = _certify_cell(j, i, x, y, policy, solver)
+            cell = certify(j, len(cells), x, y)
         except SweepFailure as failure:
             return cells, failure
         cells.append(cell)
         x = _advance(x, cell.t_radius, window.x1)
-        i += 1
     return cells, None
 
 
@@ -449,36 +441,6 @@ def _pin_blas_threads(count: int) -> list[tuple[Callable[[int], None], int]]:
     return saved
 
 
-@dataclass
-class _Row:
-    """A started row: the solve of its seed, then of the rest of the row."""
-
-    j: int
-    y: float
-    seed: Future
-    rest: Future | None = None  # submitted once the seed is in
-
-    def seed_in(self) -> bool:
-        """Whether the seed is certified and the rest of the row not started."""
-        if self.rest is not None or not self.seed.done():
-            return False
-        return self.seed.exception() is None
-
-    def done(self) -> bool:
-        """Whether the row is finished: the rest is done, or the seed failed."""
-        if self.rest is not None:
-            return self.rest.done()
-        return self.seed.done() and self.seed.exception() is not None
-
-    def result(self) -> tuple[list[CertifiedCell], SweepFailure | None]:
-        try:
-            seed = self.seed.result()
-        except SweepFailure as failure:
-            return [], failure
-        rest, failure = self.rest.result()
-        return [seed, *rest], failure
-
-
 def run_sweep(
     window: SweepWindow,
     policy: SweepPolicy | None = None,
@@ -497,38 +459,47 @@ def run_sweep(
     which keeps the union of certified discs over the whole rectangle.
 
     A row's height depends only on the seed (first cell) of the row below,
-    so the sweep runs as a pipeline on a pool of ``threads`` workers: the
-    next seed is solved while the rows below it finish, and at most
-    ``threads`` rows are in flight past the last emitted one.  With one
-    thread the solves run strictly in order: seed, rest of the row, next
-    seed.  At any thread count a row goes out to ``sink``, its cells in
-    (j, i) order, as soon as it and every row below it are done, so the
-    output is independent of the thread count.  The cells written so far
-    determine the position: a run killed at any point resumes from
-    ``resume_point`` of its cells to the same final output.  While a pool of
-    more than one worker runs, every loaded OpenBLAS is set to one thread,
-    so the workers do not compete for cores with BLAS threads of their own;
-    the setting is process-wide, and the previous counts come back when the
-    run returns or raises.
+    so the sweep runs as a chain of seeds on a pool of ``threads`` workers.
+    While fewer than ``threads`` rows wait to be emitted, the next row's
+    seed is solved and waited for, and the rest of that row is handed to
+    the pool; the seed gives the height of the row above.  Otherwise the
+    lowest row is waited for and goes out to ``sink``, its cells in (j, i)
+    order.  So at most ``threads`` solves run at once, the rows above are
+    solved while the lowest finishes, and with one thread the solves run
+    strictly in order: seed, rest of the row, next seed.  Rows go out in
+    order at any thread count, so the output does not depend on it.  The
+    cells written so far determine the position: a run killed at any point
+    resumes from ``resume_point`` of its cells to the same final output.
+    While a pool of more than one worker runs, every loaded OpenBLAS is set
+    to one thread, so the workers do not compete for cores with BLAS threads
+    of their own; the setting is process-wide, and the previous counts come
+    back when the run returns or raises.
 
     max_rows and max_cells count the rows and cells of this run, not of the
     run it resumes, and stop it at the next row boundary ("budget" result);
-    rows already in flight past the stop are cancelled or discarded.  A cell
-    whose gap margin cannot be certified, or whose digit-accuracy rule cannot
-    be met, ends the run with reason "failed" and the offending cell
-    recorded; the certified cells of its row still go to ``sink``, but the
-    state stays at the start of that row.
+    rows already started past the stop are cancelled or discarded.  Budgets
+    must be non-negative; 0 stops before the first row.  A cell whose gap
+    margin cannot be certified, or whose digit-accuracy rule cannot be met,
+    ends the run with reason "failed" and the offending cell recorded; the
+    certified cells of its row still go to ``sink``, but the state stays at
+    the start of that row.  A failure in a lower row is the one reported,
+    whatever rows above it were started.
     """
     policy = policy if policy is not None else SweepPolicy()
     solver = solver if solver is not None else _default_solver
     if threads < 1:
         raise ValueError("threads must be at least 1")
+    if any(budget is not None and budget < 0 for budget in (max_rows, max_cells)):
+        raise ValueError("max_rows and max_cells must be non-negative")
 
-    state = SweepState(y=window.y0) if resume_from is None else replace(resume_from)
+    certify = partial(_certify_cell, policy=policy, solver=solver)
+    state = SweepState(y=window.y0) if resume_from is None else resume_from
     first_j = state.j
     cells: list[CertifiedCell] = []
-    rows: deque[_Row] = deque()  # started and not yet emitted, lowest first
-    # (j, y) of the next row to start, known once the seed below it is in
+    # Started rows not yet emitted, lowest first: each future gives the
+    # row's (cells, failure), or raises the SweepFailure of a failed seed.
+    rows: deque[Future] = deque()
+    # (j, y) of the next row to start; None once a seed has failed
     upcoming: tuple[int, float] | None = (state.j, state.y)
 
     def startable(j: int, y: float) -> bool:
@@ -545,34 +516,33 @@ def run_sweep(
                 max_cells is not None and len(cells) >= max_cells
             ):
                 return SweepResult(tuple(cells), state, "budget")
-            while True:
-                newest = rows[-1] if rows else None
-                if newest and newest.seed_in():
-                    t = newest.seed.result().t_radius
-                    x = _advance(window.x0, t, window.x1)
-                    upcoming = (newest.j + 1, _advance(newest.y, t, window.y1))
-                    newest.rest = pool.submit(
-                        _certify_row, newest.j, newest.y, x, 1, window, policy, solver
-                    )
-                if upcoming and len(rows) < threads and startable(*upcoming):
-                    j, y = upcoming
-                    seed = pool.submit(_certify_cell, j, 0, window.x0, y, policy, solver)
-                    rows.append(_Row(j, y, seed))
+            while upcoming and len(rows) < threads and startable(*upcoming):
+                j, y = upcoming
+                seed = pool.submit(certify, j, 0, window.x0, y)
+                if seed.exception() is not None:
+                    rows.append(seed)
                     upcoming = None
-                if rows[0].done():
-                    break
-                running = [f for f in (r.rest or r.seed for r in rows) if not f.done()]
-                wait(running, return_when=FIRST_COMPLETED)
-            row_cells, failure = rows.popleft().result()
+                else:
+                    row = [seed.result()]
+                    rows.append(
+                        pool.submit(_certify_row, j, y, row, window, policy, certify)
+                    )
+                    upcoming = (j + 1, _row_above(y, row[0], window))
+            try:
+                row, failure = rows.popleft().result()
+            except SweepFailure as seed_failure:
+                row, failure = [], seed_failure
             if sink is not None:
-                for cell in row_cells:
+                for cell in row:
                     sink(cell)
-            cells.extend(row_cells)
+            cells.extend(row)
             if failure is not None:
                 return SweepResult(tuple(cells), state, "failed", failure)
-            state.cells_emitted += len(row_cells)
-            state.y = _advance(state.y, row_cells[0].t_radius, window.y1)
-            state.j += 1
+            state = SweepState(
+                state.j + 1,
+                _row_above(state.y, row[0], window),
+                state.cells_emitted + len(row),
+            )
     finally:
         pool.shutdown(cancel_futures=True)
         for set_threads, count in reversed(blas_threads):
@@ -582,40 +552,48 @@ def run_sweep(
 def resume_point(
     cells: Sequence[CertifiedCell], window: SweepWindow, policy: SweepPolicy
 ) -> SweepState:
-    """The position after the last complete row of ``cells``, by replaying
-    the walk that wrote them.
+    """The position after the last complete row of ``cells``, by walking
+    the rows again with each recorded cell in place of a solve.
 
-    Row j starts at (x0, y_j); each next cell sits one radius to the right
-    of the one before, and the row is complete once that position leaves
-    the region; row j+1 starts one seed radius above row j.  Cells of a
-    trailing unfinished row (from a killed or failed run) are left out of
-    the returned count.  Raises ValueError at the first cell that does not
-    continue this window's walk: a cell of another window, an edited or
-    missing cell, or cells past the end of the walk.  Positions compare
-    exactly; cells read back from ``cells_to_csv`` text replay bit for bit,
-    since it writes floats with 17 significant digits.
+    The walk is run_sweep's: row j starts at (x0, y_j), each next cell sits
+    one radius to the right of the one before, and row j+1 starts one seed
+    radius above row j.  The replay ends where the cells run out, and the
+    cells of a trailing unfinished row (from a killed or failed run) are
+    left out of the returned count.  Raises ValueError at the first cell
+    that does not continue this window's walk: a cell of another window, an
+    edited or missing cell, or cells past the end of the walk.  Positions
+    compare exactly; cells read back from ``cells_to_csv`` text replay bit
+    for bit, since it writes floats with 17 significant digits.
     """
+    recorded = iter(cells)
+
+    def certify(j: int, i: int, x: float, y: float) -> CertifiedCell:
+        cell = next(recorded, None)
+        if cell is None:
+            # ends the row like a failed cell, so its cells are not counted
+            raise SweepFailure("replay", "no more recorded cells")
+        if (cell.j, cell.i, cell.x, cell.y) != (j, i, x, y):
+            raise ValueError(
+                f"cell j={cell.j}, i={cell.i} at ({cell.x!r}, {cell.y!r}) "
+                f"does not continue the walk of this window's cells, where "
+                f"j={j}, i={i} at ({x!r}, {y!r}) comes next"
+            )
+        return cell
+
     state = SweepState(y=window.y0)
-    n = 0
-    while n < len(cells) and _in_region(window.x0, state.y, window, policy):
-        x = window.x0
-        while _in_region(x, state.y, window, policy):
-            if n == len(cells):
-                return state
-            cell, i = cells[n], n - state.cells_emitted
-            if (cell.j, cell.i, cell.x, cell.y) != (state.j, i, x, state.y):
-                raise ValueError(
-                    f"cell j={cell.j}, i={cell.i} at ({cell.x!r}, {cell.y!r}) "
-                    f"does not continue the walk of this window's cells, where "
-                    f"j={state.j}, i={i} at ({x!r}, {state.y!r}) comes next"
-                )
-            x = _advance(x, cell.t_radius, window.x1)
-            n += 1
-        seed = cells[state.cells_emitted]
-        state = SweepState(state.j + 1, _advance(state.y, seed.t_radius, window.y1), n)
-    if n < len(cells):
+    while _in_region(window.x0, state.y, window, policy):
+        row, failure = _certify_row(state.j, state.y, [], window, policy, certify)
+        if failure is not None:
+            return state
+        state = SweepState(
+            state.j + 1,
+            _row_above(state.y, row[0], window),
+            state.cells_emitted + len(row),
+        )
+    extra = next(recorded, None)
+    if extra is not None:
         raise ValueError(
-            f"cell j={cells[n].j}, i={cells[n].i} lies past the end of the walk "
+            f"cell j={extra.j}, i={extra.i} lies past the end of the walk "
             f"of this window's cells"
         )
     return state

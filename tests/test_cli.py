@@ -275,7 +275,23 @@ def test_sweep_rejects_bad_threads(capsys, tmp_path):
 
 @pytest.mark.parametrize("resume", [(), ("--resume",)], ids=["fresh", "resume"])
 @pytest.mark.parametrize(
-    "bad", [("--threads", "0"), ("--max-level", "4")], ids=["threads", "max_level"]
+    "bad",
+    [
+        ("--threads", "0"),
+        ("--max-level", "4"),
+        ("--audit-spacing", "0"),
+        ("--audit-spacing", "-0.0001"),
+        ("--max-rows", "-1"),
+        ("--max-cells", "-1"),
+    ],
+    ids=[
+        "threads",
+        "max_level",
+        "zero_spacing",
+        "negative_spacing",
+        "negative_rows",
+        "negative_cells",
+    ],
 )
 def test_sweep_usage_error_keeps_existing_csv(capsys, tmp_path, bad, resume):
     out = tmp_path / "keep.csv"

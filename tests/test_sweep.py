@@ -529,6 +529,28 @@ def test_sweep_threaded_failure_matches_sequential():
     assert (par.failure.j, par.failure.i) == (seq.failure.j, seq.failure.i)
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sweep_reports_the_lower_of_two_failures(threads):
+    # row 0 fails at its fourth cell, and the seed of row 1 fails as well;
+    # with 3 threads that seed is solved before row 0 is done
+    apexes = []
+
+    def solver(triangle, target, max_level=None):
+        apexes.append((triangle.apex_x, triangle.apex_y))
+        good = triangle.apex_y < 0.401 and triangle.apex_x < 0.505
+        return make_solver(lam2=131.0 if good else 123.0)(triangle, target, max_level)
+
+    written = []
+    result = run_sweep(WINDOW, solver=solver, sink=written.append, threads=threads)
+    assert result.reason == "failed"
+    assert (result.failure.j, result.failure.i) == (0, 3)
+    assert result.cells == tuple(written)
+    assert result.cells == run_sweep(WINDOW, solver=make_solver()).cells[:3]
+    assert result.state == SweepState(y=WINDOW.y0)
+    seed_above_solved = any(y > 0.401 for _, y in apexes)
+    assert seed_above_solved == (threads > 1)
+
+
 # ---------------------------------------------------------------- resume
 
 
@@ -566,22 +588,27 @@ def sloped_solver(a, b):
     return solver
 
 
+@pytest.mark.parametrize("threads", [1, 2])
 @settings(max_examples=15, deadline=None)
 @given(st.floats(0.0, 150.0), st.floats(0.0, 150.0))
-def test_resume_point_matches_the_run_at_every_cut(a, b):
+def test_resume_point_matches_the_run_at_every_cut(threads, a, b):
+    # at 2 threads, sloped rows of unequal length go through the look-ahead
     solver = sloped_solver(a, b)
-    full = run_sweep(WINDOW, solver=solver)
+    full = run_sweep(WINDOW, solver=solver, threads=threads)
     cells = full.cells
     rows = len({c.j for c in cells})
     # the run's own state after k complete rows, k = 0 .. rows
-    states = [run_sweep(WINDOW, solver=solver, max_rows=k).state for k in range(rows)]
+    states = [
+        run_sweep(WINDOW, solver=solver, max_rows=k, threads=threads).state
+        for k in range(rows)
+    ]
     states.append(full.state)
     ends = [s.cells_emitted for s in states]
     for n in range(len(cells) + 1):
         k = max(k for k, end in enumerate(ends) if end <= n)
         assert replayed(cells[:n]) == states[k]
     for state in states:
-        rest = run_sweep(WINDOW, solver=solver, resume_from=state)
+        rest = run_sweep(WINDOW, solver=solver, resume_from=state, threads=threads)
         stitched = cells[: state.cells_emitted] + rest.cells
         assert cells_to_csv(stitched) == cells_to_csv(cells)
 
@@ -640,6 +667,17 @@ def test_policy_validation():
 def test_sweep_rejects_bad_thread_count():
     with pytest.raises(ValueError):
         run_sweep(WINDOW, solver=make_solver(), threads=0)
+
+
+@pytest.mark.parametrize("budget", ["max_rows", "max_cells"])
+def test_sweep_rejects_negative_budgets(budget):
+    with pytest.raises(ValueError, match="non-negative"):
+        run_sweep(WINDOW, solver=make_solver(), **{budget: -1})
+    # a budget of 0 stops before the first row
+    result = run_sweep(WINDOW, solver=make_solver(), **{budget: 0})
+    assert result.reason == "budget"
+    assert result.cells == ()
+    assert result.state == SweepState(y=WINDOW.y0)
 
 
 def test_sweep_cells_keep_out_of_exclusion_ball():
