@@ -24,8 +24,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,7 +53,9 @@ from .sweep import (
     cells_from_csv,
     cells_to_csv,
     coverage_audit,
+    csv_row,
     format_cell_row,
+    format_value,
     gap_grid,
     resume_point,
     run_sweep,
@@ -65,10 +68,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 _STORE_TRUE_FLAGS = {"resume", "no-audit"}
-
-
-def _g(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
@@ -85,8 +84,17 @@ def _default_threads() -> int:
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads option values such as -1e-4 as negative numbers, as argparse
+    does from Python 3.13 on; no trigap option starts with a digit."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trigap",
         description="Certified spectral-gap computations for Euclidean triangles.",
     )
@@ -209,78 +217,63 @@ def _apply_config(argv: list[str]) -> list[str]:
     return [rest[0], *tokens, *rest[1:]]
 
 
+def _write_csv(path: str, header: str, rows: Iterable[Iterable[object]]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(csv_row(row) + "\n" for row in rows)
+
+
+def _point(a: float, b: float) -> str:
+    return f"({format_value(a)}, {format_value(b)})"
+
+
 def cmd_eigen(args: argparse.Namespace) -> int:
-    try:
-        x, y = _parse_floats(args.apex, 2, "--apex")
-        triangle = Triangle(x, y)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    x, y = _parse_floats(args.apex, 2, "--apex")
+    triangle = Triangle(x, y)
     try:
         spectrum = gap_with_error(triangle, args.accuracy, max_level=args.max_level)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     e1, e2 = spectrum.error_bounds
-    print(f"apex = ({_g(x)}, {_g(y)})")
-    print(f"lambda1 = {_g(spectrum.lambda1)} +- {_g(e1)}")
-    print(f"lambda2 = {_g(spectrum.lambda2)} +- {_g(e2)}")
-    print(f"diameter = {_g(spectrum.diameter)}")
-    print(f"xi = {_g(spectrum.xi)} +- {_g(spectrum.xi_error)}")
-    print(f"threshold = {_g(GAP_THRESHOLD)}")
-    print(f"levels = {spectrum.levels[0]},{spectrum.levels[1]}")
-    print(f"accuracy_met = {'true' if spectrum.accuracy_met else 'false'}")
+    print(f"apex = {_point(x, y)}")
+    print(f"lambda1 = {format_value(spectrum.lambda1)} +- {format_value(e1)}")
+    print(f"lambda2 = {format_value(spectrum.lambda2)} +- {format_value(e2)}")
+    print(f"diameter = {format_value(spectrum.diameter)}")
+    print(f"xi = {format_value(spectrum.xi)} +- {format_value(spectrum.xi_error)}")
+    print(f"threshold = {format_value(GAP_THRESHOLD)}")
+    print(f"levels = {csv_row(spectrum.levels)}")
+    print(f"accuracy_met = {format_value(spectrum.accuracy_met)}")
     if not spectrum.accuracy_met:
         print("warning: requested accuracy not reached at the level cap", file=sys.stderr)
     if args.out:
-        header = (
-            "x,y,lambda1,lambda2,err_lambda1,err_lambda2,"
-            "xi,xi_error,diameter,level_coarse,level_fine,accuracy_met"
+        row = (x, y, *spectrum.eigenvalues, e1, e2, spectrum.xi, spectrum.xi_error)
+        row += (spectrum.diameter, *spectrum.levels, spectrum.accuracy_met)
+        _write_csv(
+            args.out,
+            "x,y,lambda1,lambda2,err_lambda1,err_lambda2,xi,xi_error,diameter,"
+            "level_coarse,level_fine,accuracy_met",
+            [row],
         )
-        row = ",".join(
-            [
-                _g(x),
-                _g(y),
-                _g(spectrum.lambda1),
-                _g(spectrum.lambda2),
-                _g(e1),
-                _g(e2),
-                _g(spectrum.xi),
-                _g(spectrum.xi_error),
-                _g(spectrum.diameter),
-                str(spectrum.levels[0]),
-                str(spectrum.levels[1]),
-                "true" if spectrum.accuracy_met else "false",
-            ]
-        )
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(header + "\n" + row + "\n")
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        window = SweepWindow(*_parse_floats(args.window, 4, "--window"))
-        policy = SweepPolicy(
-            initial_accuracy=args.accuracy,
-            exclusion_radius=args.exclusion_radius,
-            max_accuracy_rounds=args.max_rounds,
-            max_level=args.max_level,
-        )
-        if args.threads < 1:
-            raise ValueError("--threads must be at least 1")
-        budgets = {"--max-rows": args.max_rows, "--max-cells": args.max_cells}
-        for flag, budget in budgets.items():
-            if budget is not None and budget < 0:
-                raise ValueError(f"{flag} must be non-negative")
-        if not args.audit_spacing > 0.0:
-            raise ValueError("--audit-spacing must be positive")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    window = SweepWindow(*_parse_floats(args.window, 4, "--window"))
+    policy = SweepPolicy(
+        initial_accuracy=args.accuracy,
+        exclusion_radius=args.exclusion_radius,
+        max_accuracy_rounds=args.max_rounds,
+        max_level=args.max_level,
+    )
+    if args.threads < 1:
+        raise ValueError("--threads must be at least 1")
+    budgets = {"--max-rows": args.max_rows, "--max-cells": args.max_cells}
+    for flag, budget in budgets.items():
+        if budget is not None and budget < 0:
+            raise ValueError(f"{flag} must be non-negative")
+    if not args.audit_spacing > 0.0:
+        raise ValueError("--audit-spacing must be positive")
 
     # The CSV is the sweep's only record: on --resume the position is
     # replayed from its cells, and the cells of an unfinished row are dropped.
@@ -321,24 +314,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             out_fh.write(format_cell_row(cell) + "\n")
             out_fh.flush()
 
-        try:
-            result = run_sweep(
-                window,
-                policy,
-                sink=sink,
-                resume_from=resume_state,
-                threads=args.threads,
-                max_rows=args.max_rows,
-                max_cells=args.max_cells,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        result = run_sweep(
+            window,
+            policy,
+            sink=sink,
+            resume_from=resume_state,
+            threads=args.threads,
+            max_rows=args.max_rows,
+            max_cells=args.max_cells,
+        )
 
     print(f"cells this run = {len(result.cells)}")
     print(f"cells total = {result.state.cells_emitted}")
     print(f"rows completed = {result.state.j}")
-    print(f"next seed y = {_g(result.state.y)}")
+    print(f"next seed y = {format_value(result.state.y)}")
     print(f"reason = {result.reason}")
     if result.reason == "failed":
         print(f"failure: {result.failure}", file=sys.stderr)
@@ -359,29 +348,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     print(f"audit uncovered = {report.uncovered_count}")
     if not report.passed:
         for px, py in report.uncovered_sample:
-            print(f"uncovered: ({_g(px)}, {_g(py)})", file=sys.stderr)
+            print(f"uncovered: {_point(px, py)}", file=sys.stderr)
         return EXIT_FAIL
     return EXIT_OK
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
-    try:
-        heights = [
-            float(p) for p in args.heights.split(",") if p.strip() != ""
-        ]
-        if not heights:
-            raise ValueError("no heights given")
-        if any(h < 0.01 for h in heights):
-            raise ValueError("heights below 0.01 are outside the solver's range")
-        if any(b >= a for a, b in zip(heights, heights[1:])):
-            raise ValueError("heights must be strictly descending")
-        if not 0.5 <= args.x0 <= 1.0:
-            raise ValueError(f"x0 must lie in [0.5, 1], got {args.x0}")
-        if not 0.0 < args.accuracy < 1.0:
-            raise ValueError("relative accuracy must lie in (0, 1)")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    heights = [float(p) for p in args.heights.split(",") if p.strip() != ""]
+    if not heights:
+        raise ValueError("no heights given")
+    if any(h < 0.01 for h in heights):
+        raise ValueError("heights below 0.01 are outside the solver's range")
+    if any(b >= a for a, b in zip(heights, heights[1:])):
+        raise ValueError("heights must be strictly descending")
+    if not 0.5 <= args.x0 <= 1.0:
+        raise ValueError(f"x0 must lie in [0.5, 1], got {args.x0}")
+    if not 0.0 < args.accuracy < 1.0:
+        raise ValueError("relative accuracy must lie in (0, 1)")
 
     rows = []
     failures = 0
@@ -391,9 +374,6 @@ def cmd_scaling(args: argparse.Namespace) -> int:
             coarse = gap_with_error(triangle, 1e18, max_level=7)
             target = max(args.accuracy * coarse.xi, 1e-6)
             spectrum = gap_with_error(triangle, target, max_level=args.max_level)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         except ConvergenceError as exc:
             print(f"height {h}: solver failure: {exc}", file=sys.stderr)
             failures += 1
@@ -402,43 +382,29 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         rows.append((h, spectrum, scaled))
         flag = "" if spectrum.accuracy_met else "  [accuracy not met]"
         print(
-            f"h = {_g(h)}  xi = {_g(spectrum.xi)} +- {_g(spectrum.xi_error)}"
-            f"  xi*h^(4/3) = {_g(scaled)}{flag}"
+            f"h = {format_value(h)}  xi = {format_value(spectrum.xi)}"
+            f" +- {format_value(spectrum.xi_error)}"
+            f"  xi*h^(4/3) = {format_value(scaled)}{flag}"
         )
     if len(rows) >= 2:
         logs_h = np.log([r[0] for r in rows])
         logs_xi = np.log([r[1].xi for r in rows])
         slope = float(np.polyfit(logs_h, logs_xi, 1)[0])
-        print(f"log-log slope = {_g(slope)}")
+        print(f"log-log slope = {format_value(slope)}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(
-                "height,lambda1,lambda2,xi,xi_error,xi_times_h43,accuracy_met\n"
-            )
-            for h, spectrum, scaled in rows:
-                fh.write(
-                    ",".join(
-                        [
-                            _g(h),
-                            _g(spectrum.lambda1),
-                            _g(spectrum.lambda2),
-                            _g(spectrum.xi),
-                            _g(spectrum.xi_error),
-                            _g(scaled),
-                            "true" if spectrum.accuracy_met else "false",
-                        ]
-                    )
-                    + "\n"
-                )
+        _write_csv(
+            args.out,
+            "height,lambda1,lambda2,xi,xi_error,xi_times_h43,accuracy_met",
+            (
+                (h, s.lambda1, s.lambda2, s.xi, s.xi_error, scaled, s.accuracy_met)
+                for h, s, scaled in rows
+            ),
+        )
     return EXIT_FAIL if failures else EXIT_OK
 
 
 def cmd_lame_verify(args: argparse.Namespace) -> int:
-    try:
-        report = verify_integral_tables(quad_degree=args.quad_degree)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = verify_integral_tables(quad_degree=args.quad_degree)
     table_ok = 0
     for row in report.rows:
         marker = "ok" if row.status == "ok" else row.status
@@ -446,12 +412,12 @@ def cmd_lame_verify(args: argparse.Namespace) -> int:
             table_ok += 1
         if row.status != "ok":
             print(
-                f"{row.name}: {marker}  stated={_g(row.stated_value)} "
-                f"computed={_g(row.computed_value)}  ({row.note})"
+                f"{row.name}: {marker}  stated={format_value(row.stated_value)} "
+                f"computed={format_value(row.computed_value)}  ({row.note})"
             )
     total_table = sum(1 for row in report.rows if row.kind == "table")
     print(f"table integrals ok = {table_ok}/{total_table}")
-    print(f"quadrature converged = {'true' if report.converged else 'false'}")
+    print(f"quadrature converged = {format_value(report.converged)}")
     flagged = [row.name for row in report.flagged]
     print(f"flagged entries = {','.join(flagged) if flagged else 'none'}")
     if args.out:
@@ -461,94 +427,81 @@ def cmd_lame_verify(args: argparse.Namespace) -> int:
 
 def cmd_lame_spectrum(args: argparse.Namespace) -> int:
     if args.count < 1:
-        print("error: --count must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--count must be positive")
     for k, level in enumerate(distinct_spectrum(args.count), start=1):
         pairs = " ".join(f"({p.m},{p.n})" for p in level.representative_pairs)
         print(
-            f"lambda_{k} = {_g(level.value)}  multiplicity = {level.multiplicity}"
-            f"  pairs: {pairs}"
+            f"lambda_{k} = {format_value(level.value)}"
+            f"  multiplicity = {level.multiplicity}  pairs: {pairs}"
         )
     return EXIT_OK
 
 
 def cmd_deform_minimize(args: argparse.Namespace) -> int:
     if args.grid < 100:
-        print("error: --grid must be at least 100", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--grid must be at least 100")
     result = minimize_I(grid=args.grid)
-    print(f"minimum I = {_g(result.value)}")
-    print(f"closed form = {_g(result.closed_form_minimum)}")
-    print(f"difference = {_g(abs(result.value - result.closed_form_minimum))}")
-    print(f"coeffs = ({_g(result.coeffs.alpha)}, {_g(result.coeffs.beta)})")
-    print(f"direction = ({_g(result.direction.a)}, {_g(result.direction.b)})")
-    print(f"angle_s = {_g(result.angle_s)}")
+    difference = abs(result.value - result.closed_form_minimum)
+    print(f"minimum I = {format_value(result.value)}")
+    print(f"closed form = {format_value(result.closed_form_minimum)}")
+    print(f"difference = {format_value(difference)}")
+    print(f"coeffs = {_point(result.coeffs.alpha, result.coeffs.beta)}")
+    print(f"direction = {_point(result.direction.a, result.direction.b)}")
+    print(f"angle_s = {format_value(result.angle_s)}")
     return EXIT_OK
 
 
 def cmd_deform_slope(args: argparse.Namespace) -> int:
-    try:
-        a, b = _parse_floats(args.dir, 2, "--dir")
-        norm = math.hypot(a, b)
-        if norm == 0.0:
-            raise ValueError("direction must be nonzero")
-        direction = DeformationDirection(a / norm, b / norm)
-        coeffs = None
-        if args.coeffs is not None:
-            ca, cb = _parse_floats(args.coeffs, 2, "--coeffs")
-            cnorm = math.hypot(ca, cb)
-            if cnorm == 0.0:
-                raise ValueError("coefficients must be nonzero")
-            coeffs = SecondEigenspaceCoeffs(ca / cnorm, cb / cnorm)
-        if args.t < 0.0:
-            raise ValueError("t must be non-negative")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(f"direction = ({_g(direction.a)}, {_g(direction.b)})")
-    print(
-        "preserves_diameter = "
-        + ("true" if preserves_diameter(direction) else "false")
-    )
-    print(f"lambda1_slope = {_g(lambda1_slope_closed_form(direction))}")
-    print(f"lambda1_slope_quadrature = {_g(lambda1_slope(direction))}")
-    lo, hi = slope_gap_branch_extremes(direction)
-    print(f"I_min = {_g(lo)}")
-    print(f"I_max = {_g(hi)}")
-    if coeffs is not None:
-        print(f"I = {_g(slope_gap_I(coeffs, direction))}")
-        print(f"I_quadrature = {_g(slope_gap_I_quadrature(coeffs, direction))}")
+    a, b = _parse_floats(args.dir, 2, "--dir")
+    norm = math.hypot(a, b)
+    if norm == 0.0:
+        raise ValueError("direction must be nonzero")
+    direction = DeformationDirection(a / norm, b / norm)
+    coeffs = None
+    if args.coeffs is not None:
+        ca, cb = _parse_floats(args.coeffs, 2, "--coeffs")
+        cnorm = math.hypot(ca, cb)
+        if cnorm == 0.0:
+            raise ValueError("coefficients must be nonzero")
+        coeffs = SecondEigenspaceCoeffs(ca / cnorm, cb / cnorm)
+    if args.t < 0.0:
+        raise ValueError("t must be non-negative")
+    # before any output: gamma_bounds rejects a --t that collapses the triangle
     bounds = gamma_bounds(math.sqrt(3.0) / 2.0, direction, args.t)
-    print(f"gamma_minus = {_g(bounds.gamma_minus)}")
-    print(f"gamma_plus = {_g(bounds.gamma_plus)}")
-    print(f"gamma_spread = {_g(bounds.spread)}")
-    print(f"alpha_bound = {_g(alpha_bound(direction, args.t))}")
+    alpha = alpha_bound(direction, args.t)
+    print(f"direction = {_point(direction.a, direction.b)}")
+    print(f"preserves_diameter = {format_value(preserves_diameter(direction))}")
+    print(f"lambda1_slope = {format_value(lambda1_slope_closed_form(direction))}")
+    print(f"lambda1_slope_quadrature = {format_value(lambda1_slope(direction))}")
+    lo, hi = slope_gap_branch_extremes(direction)
+    print(f"I_min = {format_value(lo)}")
+    print(f"I_max = {format_value(hi)}")
+    if coeffs is not None:
+        print(f"I = {format_value(slope_gap_I(coeffs, direction))}")
+        print(f"I_quadrature = {format_value(slope_gap_I_quadrature(coeffs, direction))}")
+    print(f"gamma_minus = {format_value(bounds.gamma_minus)}")
+    print(f"gamma_plus = {format_value(bounds.gamma_plus)}")
+    print(f"gamma_spread = {format_value(bounds.spread)}")
+    print(f"alpha_bound = {format_value(alpha)}")
     return EXIT_OK
 
 
 def cmd_plot_grid(args: argparse.Namespace) -> int:
-    if args.tau_steps < 2 or args.nu_steps < 2:
-        print("error: need at least 2 steps on each axis", file=sys.stderr)
-        return EXIT_USAGE
     points = gap_grid(
-        args.tau_steps,
-        args.nu_steps,
-        accuracy=args.accuracy,
-        max_level=args.max_level,
+        args.tau_steps, args.nu_steps, accuracy=args.accuracy, max_level=args.max_level
     )
     computed = [p for p in points if p.log_xi is not None]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("tau,nu,log_xi\n")
-        for p in points:
-            value = "" if p.log_xi is None else _g(p.log_xi)
-            fh.write(f"{_g(p.tau)},{_g(p.nu)},{value}\n")
+    _write_csv(args.out, "tau,nu,log_xi", ((p.tau, p.nu, p.log_xi) for p in points))
     print(f"grid points = {len(points)}")
     print(f"computed = {len(computed)}")
     print(f"missing = {len(points) - len(computed)}")
     if computed:
         best = min(computed, key=lambda p: p.log_xi)
-        print(f"min log_xi = {_g(best.log_xi)} at tau={_g(best.tau)}, nu={_g(best.nu)}")
-        print(f"equilateral log threshold = {_g(math.log(GAP_THRESHOLD))}")
+        print(
+            f"min log_xi = {format_value(best.log_xi)}"
+            f" at tau={format_value(best.tau)}, nu={format_value(best.nu)}"
+        )
+        print(f"equilateral log threshold = {format_value(math.log(GAP_THRESHOLD))}")
     return EXIT_OK
 
 
@@ -577,8 +530,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else EXIT_USAGE
+    # Commands check their options by raising ValueError, before any output
+    # file is opened: every bad value is a usage error.
     try:
         return _COMMANDS[args.command](args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SweepFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -64,6 +64,8 @@ __all__ = [
     "resume_point",
     "coverage_audit",
     "gap_grid",
+    "format_value",
+    "csv_row",
     "format_cell_row",
     "cells_to_csv",
 ]
@@ -599,7 +601,11 @@ def resume_point(
     return state
 
 
-def _fmt(value: object) -> str:
+def format_value(value: object) -> str:
+    """One CSV field: true/false, a plain integer, a float to 17 significant
+    digits, or an empty field for a missing value."""
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -607,8 +613,12 @@ def _fmt(value: object) -> str:
     return format(float(value), ".17g")
 
 
+def csv_row(values: Iterable[object]) -> str:
+    return ",".join(format_value(value) for value in values)
+
+
 def format_cell_row(cell: CertifiedCell) -> str:
-    return ",".join(_fmt(getattr(cell, f.name)) for f in _CELL_FIELDS)
+    return csv_row(getattr(cell, f.name) for f in _CELL_FIELDS)
 
 
 def cells_to_csv(cells: Iterable[CertifiedCell], header: bool = True) -> str:
@@ -724,10 +734,16 @@ def gap_grid(
 
     tau_i = 2(i+1)/(tau_steps+1) spans (0, 2) exclusive; nu_j = (j+1)/nu_steps
     spans (0, 1] inclusive of 1.  Odd tau_steps place the equilateral point
-    (1, 1) exactly on the lattice.
+    (1, 1) exactly on the lattice.  An accuracy or level cap no solve could
+    use raises ValueError before the first solve; a point whose solve fails
+    gets log_xi None.
     """
     if tau_steps < 2 or nu_steps < 2:
         raise ValueError("need at least 2 steps on each axis")
+    if not accuracy > 0.0:
+        raise ValueError("accuracy must be positive")
+    if max_level is not None and max_level <= MIN_LEVEL:
+        raise ValueError(f"max_level must exceed the first level {MIN_LEVEL}")
     active_solver = solver if solver is not None else _default_solver
     points: list[GridPoint] = []
     for i in range(tau_steps):

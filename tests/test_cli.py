@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line interface via main()."""
 
+import functools
 import math
 
 import pytest
 
 from trigap import cli, sweep
 from trigap.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, _default_threads, main
+from trigap.eigensolver import Spectrum, gap_with_error
+from trigap.geometry import Triangle
+from trigap.sweep import format_value
 
 
 def run(capsys, *argv):
@@ -58,6 +62,31 @@ def test_eigen_rejects_unusable_level_cap(capsys):
     code, _, stderr = run(capsys, "eigen", "--apex", "0.5,0.4", "--max-level", "2")
     assert code == EXIT_USAGE
     assert "error:" in stderr
+
+
+def test_eigen_csv_fields_are_the_library_values(capsys, tmp_path):
+    out = tmp_path / "eigen.csv"
+    code, _, _ = run(
+        capsys, "eigen", "--apex", "0.5,0.4", "--accuracy", "0.5", "--out", str(out)
+    )
+    assert code == EXIT_OK
+    s = gap_with_error(Triangle(0.5, 0.4), 0.5, max_level=None)
+    values = (0.5, 0.4, s.lambda1, s.lambda2, *s.error_bounds, s.xi, s.xi_error)
+    values += (s.diameter, *s.levels, s.accuracy_met)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[1].split(",") == [format_value(v) for v in values]
+
+
+@pytest.mark.parametrize("accuracy", ["-1e-3", "-0.001", "0"])
+def test_eigen_negative_accuracy_reaches_the_solver(capsys, tmp_path, accuracy):
+    out = tmp_path / "eigen.csv"
+    code, stdout, stderr = run(
+        capsys, "eigen", "--apex", "0.5,0.4", "--accuracy", accuracy, "--out", str(out)
+    )
+    assert code == EXIT_USAGE
+    assert (stdout, stderr) == ("", "error: target accuracy must be positive\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- sweep
@@ -283,6 +312,9 @@ def test_sweep_rejects_bad_threads(capsys, tmp_path):
         ("--audit-spacing", "-0.0001"),
         ("--max-rows", "-1"),
         ("--max-cells", "-1"),
+        ("--audit-spacing", "-1e-4"),
+        ("--exclusion-radius", "-1e-4"),
+        ("--accuracy", "-1e-3"),
     ],
     ids=[
         "threads",
@@ -291,6 +323,9 @@ def test_sweep_rejects_bad_threads(capsys, tmp_path):
         "negative_spacing",
         "negative_rows",
         "negative_cells",
+        "exponent_spacing",
+        "exponent_radius",
+        "exponent_accuracy",
     ],
 )
 def test_sweep_usage_error_keeps_existing_csv(capsys, tmp_path, bad, resume):
@@ -303,6 +338,8 @@ def test_sweep_usage_error_keeps_existing_csv(capsys, tmp_path, bad, resume):
     code, _, stderr = run(capsys, "sweep", *SWEEP_ARGS, "--out", str(out), *bad, *resume)
     assert code == EXIT_USAGE
     assert "error:" in stderr
+    # the value reaches the option checks: no argparse "expected one argument"
+    assert stderr.startswith("error: ")
     assert out.read_bytes() == kept
     assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv"]
 
@@ -329,6 +366,32 @@ def test_scaling_single_height(capsys, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "height,lambda1,lambda2,xi,xi_error,xi_times_h43,accuracy_met"
     assert len(lines) == 2
+
+
+def test_scaling_csv_fields_are_the_library_values(capsys, tmp_path):
+    out = tmp_path / "scaling.csv"
+    code, _, _ = run(
+        capsys,
+        "scaling",
+        "--heights",
+        "0.1,0.05",
+        "--max-level",
+        "7",
+        "--accuracy",
+        "0.2",
+        "--out",
+        str(out),
+    )
+    assert code == EXIT_OK
+    rows = []
+    for h in (0.1, 0.05):
+        triangle = Triangle(0.5, h)
+        coarse = gap_with_error(triangle, 1e18, max_level=7)
+        s = gap_with_error(triangle, max(0.2 * coarse.xi, 1e-6), max_level=7)
+        values = (h, s.lambda1, s.lambda2, s.xi, s.xi_error, s.xi * h ** (4.0 / 3.0))
+        rows.append([format_value(v) for v in (*values, s.accuracy_met)])
+    lines = out.read_text().splitlines()
+    assert [line.split(",") for line in lines[1:]] == rows
 
 
 @pytest.mark.parametrize(
@@ -440,12 +503,15 @@ def test_deform_slope_with_coeffs(capsys):
         ("--dir", "1"),
         ("--coeffs", "0,0"),
         ("--t", "-1"),
+        ("--dir", "0,-1", "--t", "10"),  # collapses the triangle
+        ("--t", "-1e-4"),
     ],
 )
 def test_deform_slope_usage_errors(capsys, argv):
-    code, _, stderr = run(capsys, "deform-slope", *argv)
+    code, stdout, stderr = run(capsys, "deform-slope", *argv)
     assert code == EXIT_USAGE
     assert "error:" in stderr
+    assert stdout == ""
 
 
 # ---------------------------------------------------------------- plot grid
@@ -484,10 +550,58 @@ def test_plot_grid_writes_lattice(capsys, tmp_path):
     )
 
 
-def test_plot_grid_rejects_bad_steps(capsys):
-    code, _, stderr = run(capsys, "plot-grid", "--tau-steps", "1")
+def test_plot_grid_writes_an_empty_field_for_a_missing_value(
+    capsys, tmp_path, monkeypatch
+):
+    def solver(triangle, target, max_level=None):
+        if triangle.apex_x < 0.5:
+            raise sweep.SweepFailure("margin", "stub failure")
+        return Spectrum(
+            eigenvalues=(53.0, 131.0),
+            error_bounds=(1e-9, 1e-9),
+            levels=(6, 7),
+            diameter=1.0,
+            xi=78.0,
+            xi_error=2e-9,
+            accuracy_met=True,
+            rates=(4.0, 4.0),
+        )
+
+    monkeypatch.setattr(cli, "gap_grid", functools.partial(sweep.gap_grid, solver=solver))
+    out = tmp_path / "grid.csv"
+    code, stdout, _ = run(
+        capsys, "plot-grid", "--tau-steps", "3", "--nu-steps", "2", "--out", str(out)
+    )
+    assert code == EXIT_OK
+    assert "missing = 2" in stdout
+    points = sweep.gap_grid(3, 2, solver=solver)
+    assert [p.log_xi is None for p in points] == [False] * 4 + [True] * 2
+    lines = out.read_text().splitlines()
+    assert lines[1:] == [
+        f"{format_value(p.tau)},{format_value(p.nu)},{format_value(p.log_xi)}"
+        for p in points
+    ]
+    assert [line.endswith(",") for line in lines[1:]] == [False] * 4 + [True] * 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--tau-steps", "1"),
+        ("--nu-steps", "1"),
+        ("--accuracy", "0"),
+        ("--accuracy", "-1e-3"),
+        ("--max-level", "4"),
+    ],
+    ids=["tau_steps", "nu_steps", "zero_accuracy", "negative_accuracy", "max_level"],
+)
+def test_plot_grid_rejects_bad_steps(capsys, tmp_path, argv):
+    out = tmp_path / "grid.csv"
+    code, stdout, stderr = run(capsys, "plot-grid", *argv, "--out", str(out))
     assert code == EXIT_USAGE
     assert "error:" in stderr
+    assert stdout == ""
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- config

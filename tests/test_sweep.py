@@ -5,9 +5,10 @@ import importlib
 import itertools
 import math
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +27,9 @@ from trigap.sweep import (
     certification_radius,
     continuity_lower_bound,
     coverage_audit,
+    csv_row,
     format_cell_row,
+    format_value,
     gap_grid,
     resume_point,
     run_sweep,
@@ -173,6 +176,19 @@ def test_cell_csv_round_trip():
     back = cells_from_csv(text)
     assert back == cells
     assert format_cell_row(cells[0]) == lines[1]
+
+
+def test_format_value_writes_each_field_type():
+    assert format_value(True) == "true"
+    assert format_value(False) == "false"
+    assert format_value(7) == "7"
+    assert format_value(0.1) == "0.10000000000000001"
+    assert format_value(np.float64(0.1)) == "0.10000000000000001"
+    assert format_value(2.0) == "2"
+    assert format_value(None) == ""
+    assert csv_row((0.5, 3, None, True)) == "0.5,3,,true"
+    cell = good_cell()
+    assert format_cell_row(cell) == csv_row(getattr(cell, f.name) for f in fields(cell))
 
 
 def test_state_text_round_trip():
@@ -762,6 +778,31 @@ def test_gap_grid_counts_and_values():
 def test_gap_grid_validates_steps():
     with pytest.raises(ValueError):
         gap_grid(1, 2, solver=make_solver())
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"accuracy": 0.0},
+        {"accuracy": -1e-3},
+        {"accuracy": math.nan},
+        {"max_level": 4},
+        {"max_level": 2},
+    ],
+    ids=["zero_accuracy", "negative_accuracy", "nan_accuracy", "max_level_4", "max_level_2"],
+)
+def test_gap_grid_rejects_unusable_options_before_any_solve(options):
+    calls = []
+
+    def solver(triangle, target, max_level=None):
+        calls.append(target)
+        return make_solver()(triangle, target, max_level)
+
+    with pytest.raises(ValueError):
+        gap_grid(2, 2, solver=solver, **options)
+    assert calls == []
+    # the lowest usable level cap still solves every point
+    assert len(gap_grid(2, 2, max_level=5, solver=solver)) == 4
 
 
 def test_gap_grid_missing_cells_are_none():
