@@ -26,7 +26,8 @@ import math
 import os
 import re
 import sys
-from typing import Iterable, Sequence
+from contextlib import nullcontext
+from typing import Sequence
 
 import numpy as np
 
@@ -43,8 +44,8 @@ from .deformation import (
     slope_gap_I_quadrature,
     slope_gap_branch_extremes,
 )
-from .eigensolver import ConvergenceError, gap_with_error
-from .geometry import GAP_THRESHOLD, Triangle
+from .eigensolver import ConvergenceError, gap_with_error, _check_request
+from .geometry import EQUILATERAL_APEX, GAP_THRESHOLD, Triangle
 from .lame import distinct_spectrum
 from .sweep import (
     SweepFailure,
@@ -59,8 +60,9 @@ from .sweep import (
     gap_grid,
     resume_point,
     run_sweep,
+    _check_grid_request,
 )
-from .tables import verify_integral_tables
+from .tables import verify_integral_tables, _check_quad_degree
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -217,10 +219,28 @@ def _apply_config(argv: list[str]) -> list[str]:
     return [rest[0], *tokens, *rest[1:]]
 
 
-def _write_csv(path: str, header: str, rows: Iterable[Iterable[object]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        fh.writelines(csv_row(row) + "\n" for row in rows)
+def _open_out(path: str, mode: str = "w"):
+    """Open --out after the option checks and before any work: a path that
+    cannot be written is a usage error like a bad option."""
+    try:
+        return open(path, mode, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _open_csv(path: str, header: str):
+    """--out with its header written; a later failure leaves just the header."""
+    fh = _open_out(path)
+    fh.write(header + "\n")
+    return fh
+
+
+def _unit_pair(text: str, flag: str, what: str) -> tuple[float, float]:
+    a, b = _parse_floats(text, 2, flag)
+    norm = math.hypot(a, b)
+    if norm == 0.0:
+        raise ValueError(f"{what} must be nonzero")
+    return a / norm, b / norm
 
 
 def _point(a: float, b: float) -> str:
@@ -230,31 +250,35 @@ def _point(a: float, b: float) -> str:
 def cmd_eigen(args: argparse.Namespace) -> int:
     x, y = _parse_floats(args.apex, 2, "--apex")
     triangle = Triangle(x, y)
-    try:
-        spectrum = gap_with_error(triangle, args.accuracy, max_level=args.max_level)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    e1, e2 = spectrum.error_bounds
-    print(f"apex = {_point(x, y)}")
-    print(f"lambda1 = {format_value(spectrum.lambda1)} +- {format_value(e1)}")
-    print(f"lambda2 = {format_value(spectrum.lambda2)} +- {format_value(e2)}")
-    print(f"diameter = {format_value(spectrum.diameter)}")
-    print(f"xi = {format_value(spectrum.xi)} +- {format_value(spectrum.xi_error)}")
-    print(f"threshold = {format_value(GAP_THRESHOLD)}")
-    print(f"levels = {csv_row(spectrum.levels)}")
-    print(f"accuracy_met = {format_value(spectrum.accuracy_met)}")
-    if not spectrum.accuracy_met:
-        print("warning: requested accuracy not reached at the level cap", file=sys.stderr)
-    if args.out:
-        row = (x, y, *spectrum.eigenvalues, e1, e2, spectrum.xi, spectrum.xi_error)
-        row += (spectrum.diameter, *spectrum.levels, spectrum.accuracy_met)
-        _write_csv(
-            args.out,
-            "x,y,lambda1,lambda2,err_lambda1,err_lambda2,xi,xi_error,diameter,"
-            "level_coarse,level_fine,accuracy_met",
-            [row],
-        )
+    _check_request(args.accuracy, args.max_level)
+    header = (
+        "x,y,lambda1,lambda2,err_lambda1,err_lambda2,xi,xi_error,diameter,"
+        "level_coarse,level_fine,accuracy_met"
+    )
+    with _open_csv(args.out, header) if args.out else nullcontext() as out_fh:
+        try:
+            spectrum = gap_with_error(triangle, args.accuracy, max_level=args.max_level)
+        except ConvergenceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_FAIL
+        e1, e2 = spectrum.error_bounds
+        print(f"apex = {_point(x, y)}")
+        print(f"lambda1 = {format_value(spectrum.lambda1)} +- {format_value(e1)}")
+        print(f"lambda2 = {format_value(spectrum.lambda2)} +- {format_value(e2)}")
+        print(f"diameter = {format_value(spectrum.diameter)}")
+        print(f"xi = {format_value(spectrum.xi)} +- {format_value(spectrum.xi_error)}")
+        print(f"threshold = {format_value(GAP_THRESHOLD)}")
+        print(f"levels = {csv_row(spectrum.levels)}")
+        print(f"accuracy_met = {format_value(spectrum.accuracy_met)}")
+        if not spectrum.accuracy_met:
+            print(
+                "warning: requested accuracy not reached at the level cap",
+                file=sys.stderr,
+            )
+        if out_fh is not None:
+            row = (x, y, *spectrum.eigenvalues, e1, e2, spectrum.xi, spectrum.xi_error)
+            row += (spectrum.diameter, *spectrum.levels, spectrum.accuracy_met)
+            out_fh.write(csv_row(row) + "\n")
     return EXIT_OK
 
 
@@ -302,7 +326,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
 
     mode = "r+" if args.resume else "w"
-    with open(args.out, mode, encoding="utf-8", newline="") as out_fh:
+    with _open_out(args.out, mode) as out_fh:
         # A fresh run writes the header at once, so a run killed before its
         # first row leaves a CSV to resume; --resume rewrites the kept cells,
         # a prefix of the file, in place and cuts off the rest.
@@ -365,58 +389,53 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         raise ValueError(f"x0 must lie in [0.5, 1], got {args.x0}")
     if not 0.0 < args.accuracy < 1.0:
         raise ValueError("relative accuracy must lie in (0, 1)")
+    _check_request(args.accuracy, args.max_level)
 
     rows = []
     failures = 0
-    for h in heights:
-        triangle = Triangle(args.x0, h)
-        try:
-            coarse = gap_with_error(triangle, 1e18, max_level=7)
-            target = max(args.accuracy * coarse.xi, 1e-6)
-            spectrum = gap_with_error(triangle, target, max_level=args.max_level)
-        except ConvergenceError as exc:
-            print(f"height {h}: solver failure: {exc}", file=sys.stderr)
-            failures += 1
-            continue
-        scaled = spectrum.xi * h ** (4.0 / 3.0)
-        rows.append((h, spectrum, scaled))
-        flag = "" if spectrum.accuracy_met else "  [accuracy not met]"
-        print(
-            f"h = {format_value(h)}  xi = {format_value(spectrum.xi)}"
-            f" +- {format_value(spectrum.xi_error)}"
-            f"  xi*h^(4/3) = {format_value(scaled)}{flag}"
-        )
+    header = "height,lambda1,lambda2,xi,xi_error,xi_times_h43,accuracy_met"
+    with _open_csv(args.out, header) if args.out else nullcontext() as out_fh:
+        for h in heights:
+            triangle = Triangle(args.x0, h)
+            try:
+                coarse = gap_with_error(triangle, 1e18, max_level=7)
+                target = max(args.accuracy * coarse.xi, 1e-6)
+                s = gap_with_error(triangle, target, max_level=args.max_level)
+            except ConvergenceError as exc:
+                print(f"height {h}: solver failure: {exc}", file=sys.stderr)
+                failures += 1
+                continue
+            scaled = s.xi * h ** (4.0 / 3.0)
+            rows.append((h, s.xi))
+            flag = "" if s.accuracy_met else "  [accuracy not met]"
+            print(
+                f"h = {format_value(h)}  xi = {format_value(s.xi)}"
+                f" +- {format_value(s.xi_error)}"
+                f"  xi*h^(4/3) = {format_value(scaled)}{flag}"
+            )
+            if out_fh is not None:
+                row = (h, s.lambda1, s.lambda2, s.xi, s.xi_error, scaled, s.accuracy_met)
+                out_fh.write(csv_row(row) + "\n")
     if len(rows) >= 2:
-        logs_h = np.log([r[0] for r in rows])
-        logs_xi = np.log([r[1].xi for r in rows])
+        logs_h, logs_xi = np.log(rows).T
         slope = float(np.polyfit(logs_h, logs_xi, 1)[0])
         print(f"log-log slope = {format_value(slope)}")
-    if args.out:
-        _write_csv(
-            args.out,
-            "height,lambda1,lambda2,xi,xi_error,xi_times_h43,accuracy_met",
-            (
-                (h, s.lambda1, s.lambda2, s.xi, s.xi_error, scaled, s.accuracy_met)
-                for h, s, scaled in rows
-            ),
-        )
     return EXIT_FAIL if failures else EXIT_OK
 
 
 def cmd_lame_verify(args: argparse.Namespace) -> int:
+    _check_quad_degree(args.quad_degree)
+    if args.out:
+        _open_out(args.out).close()
     report = verify_integral_tables(quad_degree=args.quad_degree)
-    table_ok = 0
-    for row in report.rows:
-        marker = "ok" if row.status == "ok" else row.status
-        if row.kind == "table" and row.status == "ok":
-            table_ok += 1
-        if row.status != "ok":
-            print(
-                f"{row.name}: {marker}  stated={format_value(row.stated_value)} "
-                f"computed={format_value(row.computed_value)}  ({row.note})"
-            )
-    total_table = sum(1 for row in report.rows if row.kind == "table")
-    print(f"table integrals ok = {table_ok}/{total_table}")
+    for row in report.flagged:
+        print(
+            f"{row.name}: {row.status}  stated={format_value(row.stated_value)} "
+            f"computed={format_value(row.computed_value)}  ({row.note})"
+        )
+    table_rows = [row for row in report.rows if row.kind == "table"]
+    table_ok = sum(row.status == "ok" for row in table_rows)
+    print(f"table integrals ok = {table_ok}/{len(table_rows)}")
     print(f"quadrature converged = {format_value(report.converged)}")
     flagged = [row.name for row in report.flagged]
     print(f"flagged entries = {','.join(flagged) if flagged else 'none'}")
@@ -452,22 +471,15 @@ def cmd_deform_minimize(args: argparse.Namespace) -> int:
 
 
 def cmd_deform_slope(args: argparse.Namespace) -> int:
-    a, b = _parse_floats(args.dir, 2, "--dir")
-    norm = math.hypot(a, b)
-    if norm == 0.0:
-        raise ValueError("direction must be nonzero")
-    direction = DeformationDirection(a / norm, b / norm)
+    direction = DeformationDirection(*_unit_pair(args.dir, "--dir", "direction"))
     coeffs = None
     if args.coeffs is not None:
-        ca, cb = _parse_floats(args.coeffs, 2, "--coeffs")
-        cnorm = math.hypot(ca, cb)
-        if cnorm == 0.0:
-            raise ValueError("coefficients must be nonzero")
-        coeffs = SecondEigenspaceCoeffs(ca / cnorm, cb / cnorm)
+        pair = _unit_pair(args.coeffs, "--coeffs", "coefficients")
+        coeffs = SecondEigenspaceCoeffs(*pair)
     if args.t < 0.0:
         raise ValueError("t must be non-negative")
     # before any output: gamma_bounds rejects a --t that collapses the triangle
-    bounds = gamma_bounds(math.sqrt(3.0) / 2.0, direction, args.t)
+    bounds = gamma_bounds(EQUILATERAL_APEX[1], direction, args.t)
     alpha = alpha_bound(direction, args.t)
     print(f"direction = {_point(direction.a, direction.b)}")
     print(f"preserves_diameter = {format_value(preserves_diameter(direction))}")
@@ -487,11 +499,16 @@ def cmd_deform_slope(args: argparse.Namespace) -> int:
 
 
 def cmd_plot_grid(args: argparse.Namespace) -> int:
-    points = gap_grid(
-        args.tau_steps, args.nu_steps, accuracy=args.accuracy, max_level=args.max_level
-    )
+    _check_grid_request(args.tau_steps, args.nu_steps, args.accuracy, args.max_level)
+    with _open_csv(args.out, "tau,nu,log_xi") as out_fh:
+        points = gap_grid(
+            args.tau_steps,
+            args.nu_steps,
+            accuracy=args.accuracy,
+            max_level=args.max_level,
+        )
+        out_fh.writelines(csv_row((p.tau, p.nu, p.log_xi)) + "\n" for p in points)
     computed = [p for p in points if p.log_xi is not None]
-    _write_csv(args.out, "tau,nu,log_xi", ((p.tau, p.nu, p.log_xi) for p in points))
     print(f"grid points = {len(points)}")
     print(f"computed = {len(computed)}")
     print(f"missing = {len(points) - len(computed)}")

@@ -14,11 +14,12 @@ rotations is strictly positive; that minimum is computed here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import optimize
 
+from .geometry import EQUILATERAL_APEX
 from .lame import (
     LAMBDA1,
     TrigSum,
@@ -50,8 +51,19 @@ __all__ = [
     "preserves_diameter",
 ]
 
-EQUILATERAL_HEIGHT = math.sqrt(3.0) / 2.0
+EQUILATERAL_HEIGHT = EQUILATERAL_APEX[1]
 _SQRT3 = math.sqrt(3.0)
+
+
+def _normalize_unit_pair(pair, what: str) -> None:
+    """Divide the norm out of the two fields of a frozen dataclass, which
+    must form a unit vector to within 1e-6."""
+    names = [f.name for f in fields(pair)]
+    norm = math.hypot(*(getattr(pair, name) for name in names))
+    if not 0.999999 <= norm <= 1.000001:
+        raise ValueError(f"{what} must be a unit vector, |.|={norm}")
+    for name in names:
+        object.__setattr__(pair, name, getattr(pair, name) / norm)
 
 
 @dataclass(frozen=True)
@@ -62,11 +74,7 @@ class DeformationDirection:
     b: float
 
     def __post_init__(self) -> None:
-        norm = math.hypot(self.a, self.b)
-        if not 0.999999 <= norm <= 1.000001:
-            raise ValueError(f"direction must be a unit vector, |.|={norm}")
-        object.__setattr__(self, "a", self.a / norm)
-        object.__setattr__(self, "b", self.b / norm)
+        _normalize_unit_pair(self, "direction")
 
 
 @dataclass(frozen=True)
@@ -80,10 +88,6 @@ class InverseMetric:
     def __post_init__(self) -> None:
         if self.A <= 0.0 or self.A * self.D - self.B * self.B <= 0.0:
             raise ValueError("inverse metric must be positive definite")
-
-    @property
-    def determinant(self) -> float:
-        return self.A * self.D - self.B * self.B
 
 
 @dataclass(frozen=True)
@@ -106,11 +110,7 @@ class SecondEigenspaceCoeffs:
     beta: float
 
     def __post_init__(self) -> None:
-        norm = math.hypot(self.alpha, self.beta)
-        if not 0.999999 <= norm <= 1.000001:
-            raise ValueError(f"coefficients must be a unit vector, |.|={norm}")
-        object.__setattr__(self, "alpha", self.alpha / norm)
-        object.__setattr__(self, "beta", self.beta / norm)
+        _normalize_unit_pair(self, "coefficients")
 
 
 def _check_no_collapse(k: float, direction: DeformationDirection, t: float) -> None:
@@ -210,28 +210,22 @@ def apply_operator(coeffs: dict[str, float], f: TrigSum) -> TrigSum:
     """Second-order operator c_xx dxx + c_xy dxy + c_yy dyy applied to f."""
     fx = f.dx()
     fy = f.dy()
-    parts = [
-        fx.dx().scaled(coeffs["dxx"]),
-        fx.dy().scaled(coeffs["dxy"]),
-        fy.dy().scaled(coeffs["dyy"]),
-    ]
-    return TrigSum(
-        np.concatenate([p.coef for p in parts]),
-        np.concatenate([p.kx for p in parts]),
-        np.concatenate([p.ky for p in parts]),
-        np.concatenate([p.is_cos for p in parts]),
+    return (
+        fx.dx().scaled(coeffs["dxx"])
+        + fx.dy().scaled(coeffs["dxy"])
+        + fy.dy().scaled(coeffs["dyy"])
     )
 
 
-def _l1_at_zero(direction: DeformationDirection) -> dict[str, float]:
-    return perturbation_operator_coeffs(direction, 0.0)["L1"]
+def _first_order_form(f: TrigSum, direction: DeformationDirection, n: int) -> float:
+    """int f (L1|_{t=0} f) over the equilateral triangle, by quadrature."""
+    lf = apply_operator(perturbation_operator_coeffs(direction, 0.0)["L1"], f)
+    return equilateral_integral(lambda x, y: f(x, y) * lf(x, y), n=n)
 
 
 def lambda1_slope(direction: DeformationDirection, n: int = 6) -> float:
     """First-order change of lambda1: -int phi1 (L1|_{t=0}) phi1 by quadrature."""
-    p = phi1_trigsum()
-    lp = apply_operator(_l1_at_zero(direction), p)
-    return -equilateral_integral(lambda x, y: p(x, y) * lp(x, y), n=n)
+    return -_first_order_form(phi1_trigsum(), direction, n)
 
 
 def lambda1_slope_closed_form(direction: DeformationDirection) -> float:
@@ -239,13 +233,11 @@ def lambda1_slope_closed_form(direction: DeformationDirection) -> float:
     return -2.0 * direction.b * LAMBDA1 / _SQRT3
 
 
-def _combined(coeffs: SecondEigenspaceCoeffs) -> TrigSum:
-    u, v = second_basis()
-    return TrigSum(
-        np.concatenate([u.coef * coeffs.alpha, v.coef * coeffs.beta]),
-        np.concatenate([u.kx, v.kx]),
-        np.concatenate([u.ky, v.ky]),
-        np.concatenate([u.is_cos, v.is_cos]),
+def _I_coefficients(g, h):
+    """(A1, A2) with I = -A1 b + A2 a, for g and h as in ``slope_gap_I``."""
+    return (
+        (25600.0 * math.pi**2 + 59049.0 * g) / (1800.0 * _SQRT3),
+        -(6561.0 / 200.0) * h,
     )
 
 
@@ -261,24 +253,19 @@ def slope_gap_I(
     al, be = coeffs.alpha, coeffs.beta
     g = al * al - be * be + 2.0 * _SQRT3 * al * be
     h = be * be - al * al + 2.0 * al * be / _SQRT3
-    return (
-        -((25600.0 * math.pi**2 + g * 59049.0) / (1800.0 * _SQRT3)) * b
-        - (6561.0 / 200.0) * h * a
-    )
+    a1, a2 = _I_coefficients(g, h)
+    return -a1 * b + a2 * a
 
 
 def slope_gap_I_quadrature(
     coeffs: SecondEigenspaceCoeffs, direction: DeformationDirection, n: int = 6
 ) -> float:
     """I evaluated directly from its defining integrals."""
-    l1 = _l1_at_zero(direction)
-    phi = _combined(coeffs)
-    p = phi1_trigsum()
-    lphi = apply_operator(l1, phi)
-    lp = apply_operator(l1, p)
-    term2 = equilateral_integral(lambda x, y: phi(x, y) * lphi(x, y), n=n)
-    term1 = equilateral_integral(lambda x, y: p(x, y) * lp(x, y), n=n)
-    return -term2 + term1
+    u, v = second_basis()
+    phi = u.scaled(coeffs.alpha) + v.scaled(coeffs.beta)
+    return -_first_order_form(phi, direction, n) + _first_order_form(
+        phi1_trigsum(), direction, n
+    )
 
 
 def preserves_diameter(direction: DeformationDirection) -> bool:
@@ -318,9 +305,7 @@ def _objective_arrays(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # I(s, a) = A1(s) sqrt(1 - a^2) + A2(s) a  with b = -sqrt(1 - a^2).
     g = np.cos(2.0 * s) + _SQRT3 * np.sin(2.0 * s)
     h = -np.cos(2.0 * s) + np.sin(2.0 * s) / _SQRT3
-    a1 = (25600.0 * math.pi**2 + 59049.0 * g) / (1800.0 * _SQRT3)
-    a2 = -(6561.0 / 200.0) * h
-    return a1, a2
+    return _I_coefficients(g, h)
 
 
 def minimize_I(grid: int = 10000) -> MinimizeIResult:

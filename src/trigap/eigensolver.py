@@ -390,6 +390,14 @@ def _richardson(coarse: float, fine: float) -> tuple[float, float]:
     return extrapolated, err
 
 
+def _check_request(target: float, max_level: int | None) -> None:
+    """Reject a target or a level cap that no solve could serve."""
+    if target <= 0.0:
+        raise ValueError("target accuracy must be positive")
+    if max_level is not None and max_level < MIN_LEVEL + 1:
+        raise ValueError("level cap leaves no room for two consecutive solves")
+
+
 def gap_with_error(
     triangle,
     target: float,
@@ -404,15 +412,12 @@ def gap_with_error(
     result depends only on the triangle's shape, size and the arguments, not
     on how its vertices are given.
     """
-    if target <= 0.0:
-        raise ValueError("target accuracy must be positive")
+    _check_request(target, max_level)
     verts = _as_vertices(triangle)
     d = diameter(verts)
     thin = 2.0 * abs(_signed_area(verts)) / (d * d) <= THIN_APEX_HEIGHT
     cap = max_level if max_level is not None else (11 if thin else 10)
     cap = min(cap, MAX_LEVEL)
-    if cap < MIN_LEVEL + 1:
-        raise ValueError("level cap leaves no room for two consecutive solves")
 
     history: list[tuple[float, float]] = []
     solves: list[tuple[int, int, int]] = []

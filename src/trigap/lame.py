@@ -16,11 +16,13 @@ so that all derivatives used elsewhere are analytic, never numeric.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import EQUILATERAL_APEX
 from .quadrature import integrate
 
 __all__ = [
@@ -52,7 +54,7 @@ LAMBDA1 = 16.0 * math.pi**2 / 3.0
 LAMBDA2 = 112.0 * math.pi**2 / 9.0
 LAMBDA3 = 64.0 * math.pi**2 / 3.0
 
-EQUILATERAL_VERTICES = ((0.0, 0.0), (1.0, 0.0), (0.5, _SQRT3 / 2.0))
+EQUILATERAL_VERTICES = ((0.0, 0.0), (1.0, 0.0), EQUILATERAL_APEX)
 
 #: L2 normalization prefactors of the closed-form eigenfunctions.
 _PHI_NORM = 2.0 * math.sqrt(2.0) / 3.0**0.75
@@ -70,7 +72,7 @@ class LamePair:
         m, n = self.m, self.n
         if (m + n) % 3 != 0:
             raise ValueError(f"(m, n)=({m}, {n}): m + n must be divisible by 3")
-        if m == 2 * n or n == 2 * m or m == -n:
+        if not _admissible(m, n):
             raise ValueError(
                 f"(m, n)=({m}, {n}) indexes a degenerate (identically zero) mode"
             )
@@ -121,6 +123,15 @@ class TrigSum:
     def scaled(self, c: float) -> "TrigSum":
         return TrigSum(self.coef * c, self.kx, self.ky, self.is_cos)
 
+    def __add__(self, other: "TrigSum") -> "TrigSum":
+        """The sum of two series, self's waves first."""
+        return TrigSum(
+            np.concatenate([self.coef, other.coef]),
+            np.concatenate([self.kx, other.kx]),
+            np.concatenate([self.ky, other.ky]),
+            np.concatenate([self.is_cos, other.is_cos]),
+        )
+
 
 def eigenvalue_of_pair(pair: LamePair) -> float:
     """Eigenvalue (16 pi^2/27)(m^2 + n^2 - mn) of an admissible pair."""
@@ -153,18 +164,16 @@ def distinct_spectrum(count: int) -> list[EquilateralEigenvalue]:
         if len(qs) >= count and qs[count - 1] < box * box / 2.0:
             out = []
             for q in qs[:count]:
-                pairs = sorted(values[q])
+                pairs = tuple(LamePair(m, n) for m, n in sorted(values[q]))
                 if len(pairs) % 6 != 0:
                     raise RuntimeError(
                         f"orbit structure violated at quadratic value {q}"
                     )
                 out.append(
                     EquilateralEigenvalue(
-                        value=(16.0 * math.pi**2 / 27.0) * q,
+                        value=eigenvalue_of_pair(pairs[0]),
                         multiplicity=len(pairs) // 6,
-                        representative_pairs=tuple(
-                            LamePair(m, n) for m, n in pairs
-                        ),
+                        representative_pairs=pairs,
                     )
                 )
             return out
@@ -197,41 +206,49 @@ def orbit_eigenfunction(m: int, n: int, kind: str = "sin") -> TrigSum:
     return TrigSum(coef, kx, ky, is_cos)
 
 
+def _three_wave_sine(k: float) -> TrigSum:
+    """(2 sqrt2 / 3^(3/4)) [ sin(2k y/sqrt3) - sin(k (x + y/sqrt3))
+                             + sin(k (x - y/sqrt3)) ], L2-normalized."""
+    c = _PHI_NORM
+    return TrigSum(
+        coef=[c, -c, c],
+        kx=[0.0, k, k],
+        ky=[2.0 * k / _SQRT3, k / _SQRT3, -k / _SQRT3],
+        is_cos=[False, False, False],
+    )
+
+
 def phi1_trigsum() -> TrigSum:
     """L2-normalized ground state as a trigonometric sum.
 
     phi1 = (2 sqrt2 / 3^(3/4)) [ sin(4 pi y/sqrt3) - sin(2 pi (x + y/sqrt3))
                                  + sin(2 pi (x - y/sqrt3)) ].
     """
-    c = _PHI_NORM
-    return TrigSum(
-        coef=[c, -c, c],
-        kx=[0.0, 2.0 * math.pi, 2.0 * math.pi],
-        ky=[4.0 * math.pi / _SQRT3, 2.0 * math.pi / _SQRT3, -2.0 * math.pi / _SQRT3],
-        is_cos=[False, False, False],
+    return _three_wave_sine(2.0 * math.pi)
+
+
+def _sine_product(x, y, prefactor: float = 1.0):
+    """The ground state's product form as printed,
+    prefactor sin(2 pi y/sqrt3) sin(pi(x + y/sqrt3)) sin(pi(x - y/sqrt3)),
+    multiplied left to right: callers that scale the product afterwards
+    rather than pass a prefactor get different last bits."""
+    return (
+        prefactor
+        * np.sin(2.0 * np.pi * y / _SQRT3)
+        * np.sin(np.pi * (x + y / _SQRT3))
+        * np.sin(np.pi * (x - y / _SQRT3))
     )
 
 
-_PRODUCT_CONSTANT: float | None = None
-
-
+@functools.cache
 def phi1_product_constant() -> float:
     """Constant relating the three-sine product form to the sum form.
 
     The product identity as printed drops a numeric factor; the constant is
     fixed by matching the sum form at the centroid.  (It comes out to 4.)
     """
-    global _PRODUCT_CONSTANT
-    if _PRODUCT_CONSTANT is None:
-        cx, cy = 0.5, _SQRT3 / 6.0
-        s = phi1_trigsum()(cx, cy) / _PHI_NORM
-        p = (
-            math.sin(2.0 * math.pi * cy / _SQRT3)
-            * math.sin(math.pi * (cx + cy / _SQRT3))
-            * math.sin(math.pi * (cx - cy / _SQRT3))
-        )
-        _PRODUCT_CONSTANT = float(s / p)
-    return _PRODUCT_CONSTANT
+    cx, cy = 0.5, _SQRT3 / 6.0
+    return float(phi1_trigsum()(cx, cy) / _PHI_NORM / _sine_product(cx, cy))
 
 
 def phi1(x, y, form: str = "sum"):
@@ -246,12 +263,7 @@ def phi1(x, y, form: str = "sum"):
     if form == "product":
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        c = _PHI_NORM * phi1_product_constant()
-        return c * (
-            np.sin(2.0 * np.pi * y / _SQRT3)
-            * np.sin(np.pi * (x + y / _SQRT3))
-            * np.sin(np.pi * (x - y / _SQRT3))
-        )
+        return _PHI_NORM * phi1_product_constant() * _sine_product(x, y)
     raise ValueError("form must be 'sum' or 'product'")
 
 
@@ -273,13 +285,7 @@ def third_eigenfunction_trigsum() -> TrigSum:
     A = (2 sqrt2/3^(3/4)) [ sin(8 pi y/sqrt3) - sin(4 pi (x + y/sqrt3))
                             + sin(4 pi (x - y/sqrt3)) ].
     """
-    c = _PHI_NORM
-    return TrigSum(
-        coef=[c, -c, c],
-        kx=[0.0, 4.0 * math.pi, 4.0 * math.pi],
-        ky=[8.0 * math.pi / _SQRT3, 4.0 * math.pi / _SQRT3, -4.0 * math.pi / _SQRT3],
-        is_cos=[False, False, False],
-    )
+    return _three_wave_sine(4.0 * math.pi)
 
 
 def _third_eigenfunction_printed() -> TrigSum:
@@ -387,7 +393,7 @@ def _interior_points(margin: float = 1e-3, per_edge: int = 25) -> np.ndarray:
             a = i / per_edge
             b = j / per_edge
             c = 1.0 - a - b
-            if min(a, b, c) * (_SQRT3 / 2.0) <= margin:
+            if min(a, b, c) * EQUILATERAL_APEX[1] <= margin:
                 continue
             pts.append(a * v[0] + b * v[1] + c * v[2])
     return np.asarray(pts)

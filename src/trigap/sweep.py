@@ -722,6 +722,18 @@ class GridPoint:
     log_xi: float | None
 
 
+def _check_grid_request(
+    tau_steps: int, nu_steps: int, accuracy: float, max_level: int | None
+) -> None:
+    """Reject a lattice, accuracy or level cap that no solve could use."""
+    if tau_steps < 2 or nu_steps < 2:
+        raise ValueError("need at least 2 steps on each axis")
+    if not accuracy > 0.0:
+        raise ValueError("accuracy must be positive")
+    if max_level is not None and max_level <= MIN_LEVEL:
+        raise ValueError(f"max_level must exceed the first level {MIN_LEVEL}")
+
+
 def gap_grid(
     tau_steps: int,
     nu_steps: int,
@@ -738,12 +750,7 @@ def gap_grid(
     use raises ValueError before the first solve; a point whose solve fails
     gets log_xi None.
     """
-    if tau_steps < 2 or nu_steps < 2:
-        raise ValueError("need at least 2 steps on each axis")
-    if not accuracy > 0.0:
-        raise ValueError("accuracy must be positive")
-    if max_level is not None and max_level <= MIN_LEVEL:
-        raise ValueError(f"max_level must exceed the first level {MIN_LEVEL}")
+    _check_grid_request(tau_steps, nu_steps, accuracy, max_level)
     active_solver = solver if solver is not None else _default_solver
     points: list[GridPoint] = []
     for i in range(tau_steps):

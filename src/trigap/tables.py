@@ -25,16 +25,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .lame import (
     equilateral_integral,
     phi1_product_constant,
     phi1_trigsum,
     second_basis,
     third_eigenfunction_trigsum,
+    _PHI_NORM,
+    _sine_product,
     _third_eigenfunction_printed,
 )
+from .sweep import format_value
 
 __all__ = ["TableRow", "TableReport", "verify_integral_tables", "CSV_COLUMNS"]
 
@@ -98,16 +99,8 @@ class TableReport:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for r in self.rows:
-                writer.writerow(
-                    [
-                        r.name,
-                        format(r.stated_value, ".17g"),
-                        format(r.computed_value, ".17g"),
-                        format(r.abs_error, ".17g"),
-                        format(r.rel_error, ".17g"),
-                        r.status,
-                    ]
-                )
+                values = (r.stated_value, r.computed_value, r.abs_error, r.rel_error)
+                writer.writerow([r.name, *map(format_value, values), r.status])
 
 
 def _entries() -> list[tuple[str, Callable, float, str, str]]:
@@ -126,174 +119,96 @@ def _entries() -> list[tuple[str, Callable, float, str, str]]:
     def prod(f, g):
         return lambda x, y: f(x, y) * g(x, y)
 
-    def single(f):
-        return lambda x, y: f(x, y)
-
     e: list[tuple[str, Callable, float, str, str]] = []
 
+    def add(name, integrand, value, kind="table", note=""):
+        e.append((name, integrand, value, kind, note))
+
     # Ground-state table.
-    e.append(("int_phi1_x_sq", prod(px, px), 8.0 * _PI2 / 3.0, "table", ""))
-    e.append(("int_phi1_y_sq", prod(py, py), 8.0 * _PI2 / 3.0, "table", ""))
-    e.append(("int_phi1_x_phi1_y", prod(px, py), 0.0, "table", ""))
-    e.append(("int_phi1_xy_sq", prod(pxy, pxy), 32.0 * _PI4 / 9.0, "table", ""))
-    e.append(("int_phi1_xx_sq", prod(pxx, pxx), 32.0 * _PI4 / 3.0, "table", ""))
-    e.append(("int_phi1_yy_sq", prod(pyy, pyy), 32.0 * _PI4 / 3.0, "table", ""))
-    e.append(("int_phi1", single(p), 3.0**0.75 / (math.sqrt(2.0) * math.pi), "table", ""))
-    e.append(("int_phi1_xx_phi1_xy", prod(pxx, pxy), 0.0, "table", ""))
-    e.append(("int_phi1_yy_phi1_xy", prod(pyy, pxy), 0.0, "table", ""))
+    add("int_phi1_x_sq", prod(px, px), 8.0 * _PI2 / 3.0)
+    add("int_phi1_y_sq", prod(py, py), 8.0 * _PI2 / 3.0)
+    add("int_phi1_x_phi1_y", prod(px, py), 0.0)
+    add("int_phi1_xy_sq", prod(pxy, pxy), 32.0 * _PI4 / 9.0)
+    add("int_phi1_xx_sq", prod(pxx, pxx), 32.0 * _PI4 / 3.0)
+    add("int_phi1_yy_sq", prod(pyy, pyy), 32.0 * _PI4 / 3.0)
+    add("int_phi1", p, 3.0**0.75 / (math.sqrt(2.0) * math.pi))
+    add("int_phi1_xx_phi1_xy", prod(pxx, pxy), 0.0)
+    add("int_phi1_yy_phi1_xy", prod(pyy, pxy), 0.0)
 
     # Normalization and orthogonality claims.
-    e.append(("int_phi1_sq", prod(p, p), 1.0, "normalization", ""))
-    e.append(("int_u_sq", prod(u, u), 1.0, "normalization", ""))
-    e.append(("int_v_sq", prod(v, v), 1.0, "normalization", ""))
-    e.append(("int_u_v", prod(u, v), 0.0, "normalization", ""))
-    e.append(("int_u_phi1", prod(u, p), 0.0, "normalization", ""))
-    e.append(("int_v_phi1", prod(v, p), 0.0, "normalization", ""))
+    add("int_phi1_sq", prod(p, p), 1.0, "normalization")
+    add("int_u_sq", prod(u, u), 1.0, "normalization")
+    add("int_v_sq", prod(v, v), 1.0, "normalization")
+    add("int_u_v", prod(u, v), 0.0, "normalization")
+    add("int_u_phi1", prod(u, p), 0.0, "normalization")
+    add("int_v_phi1", prod(v, p), 0.0, "normalization")
 
     # Second-eigenspace first-derivative table.
     q = 6561.0 / 800.0
     s56 = 56.0 * _PI2 / 9.0
-    e.append(("int_u_x_sq", prod(ux, ux), -q + s56, "table", ""))
-    e.append(("int_v_y_sq", prod(vy, vy), -q + s56, "table", ""))
-    e.append(("int_u_x_u_y", prod(ux, uy), -q * _SQRT3, "table", ""))
-    e.append(("int_v_x_v_y", prod(vx, vy), q * _SQRT3, "table", ""))
-    e.append(("int_u_y_v_y", prod(uy, vy), q * _SQRT3, "table", ""))
-    e.append(("int_u_x_v_y", prod(ux, vy), q, "table", ""))
-    e.append(("int_u_x_v_x", prod(ux, vx), -q * _SQRT3, "table", ""))
-    e.append(("int_u_y_sq", prod(uy, uy), q + s56, "table", ""))
-    e.append(("int_v_x_sq", prod(vx, vx), q + s56, "table", ""))
+    add("int_u_x_sq", prod(ux, ux), -q + s56)
+    add("int_v_y_sq", prod(vy, vy), -q + s56)
+    add("int_u_x_u_y", prod(ux, uy), -q * _SQRT3)
+    add("int_v_x_v_y", prod(vx, vy), q * _SQRT3)
+    add("int_u_y_v_y", prod(uy, vy), q * _SQRT3)
+    add("int_u_x_v_y", prod(ux, vy), q)
+    add("int_u_x_v_x", prod(ux, vx), -q * _SQRT3)
+    add("int_u_y_sq", prod(uy, uy), q + s56)
+    add("int_v_x_sq", prod(vx, vx), q + s56)
 
     # Second-eigenspace second-derivative table.
-    e.append(
-        (
-            "int_u_xy_sq",
-            prod(uxy, uxy),
-            -5103.0 * _PI2 / 200.0 + 1568.0 * _PI4 / 81.0,
-            "table",
-            "",
-        )
-    )
-    e.append(
-        (
-            "int_u_yy_sq",
-            prod(uyy, uyy),
-            5103.0 * _PI2 / 40.0 + 1568.0 * _PI4 / 27.0,
-            "table",
-            "",
-        )
-    )
-    e.append(
-        (
-            "int_u_xx_sq",
-            prod(uxx, uxx),
-            7.0 * _PI2 * (-59049.0 + 44800.0 * _PI2) / 5400.0,
-            "table",
-            "",
-        )
-    )
-    e.append(
-        (
-            "int_v_xx_sq",
-            prod(vxx, vxx),
-            7.0 * _PI2 * (59049.0 + 44800.0 * _PI2) / 5400.0,
-            "table",
-            "",
-        )
-    )
-    e.append(
-        (
-            "int_v_xy_sq",
-            prod(vxy, vxy),
-            5103.0 * _PI2 / 200.0 + 1568.0 * _PI4 / 81.0,
-            "table",
-            "",
-        )
-    )
-    e.append(
-        (
-            "int_v_yy_sq",
-            prod(vyy, vyy),
-            -5103.0 * _PI2 / 40.0 + 1568.0 * _PI4 / 27.0,
-            "table",
-            "",
-        )
-    )
-    e.append(
-        (
-            "int_v_xy_u_xy",
-            prod(vxy, uxy),
-            -5103.0 * _SQRT3 * _PI2 / 200.0,
-            "table",
-            "",
-        )
-    )
-    e.append(
-        (
-            "int_v_xx_u_xx",
-            prod(vxx, uxx),
-            -15309.0 * _SQRT3 * _PI2 / 200.0,
-            "table",
-            "",
-        )
-    )
-    e.append(
-        (
-            "int_v_yy_u_yy",
-            prod(vyy, uyy),
-            5103.0 * _SQRT3 * _PI2 / 40.0,
-            "table",
-            "",
-        )
-    )
+    add("int_u_xy_sq", prod(uxy, uxy), -5103.0 * _PI2 / 200.0 + 1568.0 * _PI4 / 81.0)
+    add("int_u_yy_sq", prod(uyy, uyy), 5103.0 * _PI2 / 40.0 + 1568.0 * _PI4 / 27.0)
+    add("int_u_xx_sq", prod(uxx, uxx), 7.0 * _PI2 * (-59049.0 + 44800.0 * _PI2) / 5400.0)
+    add("int_v_xx_sq", prod(vxx, vxx), 7.0 * _PI2 * (59049.0 + 44800.0 * _PI2) / 5400.0)
+    add("int_v_xy_sq", prod(vxy, vxy), 5103.0 * _PI2 / 200.0 + 1568.0 * _PI4 / 81.0)
+    add("int_v_yy_sq", prod(vyy, vyy), -5103.0 * _PI2 / 40.0 + 1568.0 * _PI4 / 27.0)
+    add("int_v_xy_u_xy", prod(vxy, uxy), -5103.0 * _SQRT3 * _PI2 / 200.0)
+    add("int_v_xx_u_xx", prod(vxx, uxx), -15309.0 * _SQRT3 * _PI2 / 200.0)
+    add("int_v_yy_u_yy", prod(vyy, uyy), 5103.0 * _SQRT3 * _PI2 / 40.0)
 
     # Derived entry: implied by the mixed-derivative expansion of
     # alpha*u + beta*v but never printed.
-    e.append(("int_u_y_v_x", prod(uy, vx), q, "derived", "implied, not printed"))
+    add("int_u_y_v_x", prod(uy, vx), q, "derived", "implied, not printed")
 
     # Adjudication entries (expected to be flagged).
-    e.append(
-        (
-            "int_v_xx_sq_variant_54049",
-            prod(vxx, vxx),
-            7.0 * _PI2 * (54049.0 + 44800.0 * _PI2) / 5400.0,
-            "adjudication",
-            "proof-text variant; table value 59049 is the one quadrature matches",
-        )
+    add(
+        "int_v_xx_sq_variant_54049",
+        prod(vxx, vxx),
+        7.0 * _PI2 * (54049.0 + 44800.0 * _PI2) / 5400.0,
+        "adjudication",
+        "proof-text variant; table value 59049 is the one quadrature matches",
     )
 
     def product_form_unit_constant(x, y):
-        return (
-            (2.0 * math.sqrt(2.0) / 3.0**0.75)
-            * np.sin(2.0 * np.pi * y / _SQRT3)
-            * np.sin(np.pi * (x + y / _SQRT3))
-            * np.sin(np.pi * (x - y / _SQRT3))
-        ) * p(x, y)
+        return _sine_product(x, y, _PHI_NORM) * p(x, y)
 
     # <sum form, product form as printed>: equals 1 only if the printed
     # product identity held verbatim; it comes out to 1/4.
-    e.append(
-        (
-            "int_phi1_sum_times_printed_product",
-            product_form_unit_constant,
-            1.0,
-            "adjudication",
-            "printed product form is low by the constant 4",
-        )
+    add(
+        "int_phi1_sum_times_printed_product",
+        product_form_unit_constant,
+        1.0,
+        "adjudication",
+        "printed product form is low by the constant 4",
     )
 
     # Third-eigenspace diagnostics.
-    e.append(("int_A3_sq", prod(a3, a3), 1.0, "normalization", "reconstructed form"))
-    e.append(("int_A3_phi1", prod(a3, p), 0.0, "normalization", "reconstructed form"))
-    e.append(
-        (
-            "int_A3_printed_sq",
-            prod(a3_printed, a3_printed),
-            1.0,
-            "adjudication",
-            "printed third-eigenfunction formula is not normalized",
-        )
+    add("int_A3_sq", prod(a3, a3), 1.0, "normalization", "reconstructed form")
+    add("int_A3_phi1", prod(a3, p), 0.0, "normalization", "reconstructed form")
+    add(
+        "int_A3_printed_sq",
+        prod(a3_printed, a3_printed),
+        1.0,
+        "adjudication",
+        "printed third-eigenfunction formula is not normalized",
     )
     return e
+
+
+def _check_quad_degree(quad_degree: int) -> None:
+    if quad_degree < 4:
+        raise ValueError("quad_degree below 4 cannot resolve the integrands")
 
 
 def verify_integral_tables(
@@ -305,46 +220,43 @@ def verify_integral_tables(
     against degree ``quad_degree`` is the convergence gap, which must be
     negligible before any disagreement can be blamed on the printed value.
     """
-    if quad_degree < 4:
-        raise ValueError("quad_degree below 4 cannot resolve the integrands")
+    _check_quad_degree(quad_degree)
     rows = []
     for name, integrand, stated_value, kind, note in _entries():
         lo = equilateral_integral(integrand, n=quad_degree, subdivision=subdivision)
         hi = equilateral_integral(
             integrand, n=quad_degree + 1, subdivision=subdivision
         )
-        abs_error = abs(hi - stated_value)
-        rel_error = abs_error / max(abs(stated_value), 1.0)
-        if stated_value == 0.0:
-            ok = abs_error <= ABS_TOL_ZERO
-        else:
-            ok = rel_error <= REL_TOL
-        rows.append(
-            TableRow(
-                name=name,
-                stated_value=stated_value,
-                computed_value=hi,
-                abs_error=abs_error,
-                rel_error=rel_error,
-                status="ok" if ok else "typo?",
-                kind=kind,
-                convergence_gap=abs(hi - lo),
-                note=note,
-            )
-        )
+        rows.append(_row(name, stated_value, hi, kind, abs(hi - lo), note))
     # Record the product-form constant itself for the report reader.
-    const = phi1_product_constant()
     rows.append(
-        TableRow(
-            name="phi1_product_form_constant",
-            stated_value=1.0,
-            computed_value=const,
-            abs_error=abs(const - 1.0),
-            rel_error=abs(const - 1.0),
-            status="ok" if abs(const - 1.0) <= REL_TOL else "typo?",
-            kind="adjudication",
-            convergence_gap=0.0,
-            note="constant matching sum and product forms; printed identity implies 1",
+        _row(
+            "phi1_product_form_constant",
+            1.0,
+            phi1_product_constant(),
+            "adjudication",
+            0.0,
+            "constant matching sum and product forms; printed identity implies 1",
         )
     )
     return TableReport(rows=tuple(rows), quad_degree=quad_degree)
+
+
+def _row(
+    name: str,
+    stated_value: float,
+    computed_value: float,
+    kind: str,
+    convergence_gap: float,
+    note: str,
+) -> TableRow:
+    """A report row with its verdict: a zero stated value is met to
+    ABS_TOL_ZERO, any other to REL_TOL relative to max(|stated|, 1)."""
+    abs_error = abs(computed_value - stated_value)
+    rel_error = abs_error / max(abs(stated_value), 1.0)
+    ok = abs_error <= ABS_TOL_ZERO if stated_value == 0.0 else rel_error <= REL_TOL
+    status = "ok" if ok else "typo?"
+    return TableRow(
+        name, stated_value, computed_value, abs_error, rel_error, status, kind,
+        convergence_gap, note,
+    )

@@ -285,7 +285,7 @@ def test_criterion_7_certification_window(acceptance):
             "unknowns, beyond this machine's memory)"
         )
         print(
-            "  projected full window: ~90 rows, thousands of cells, every "
+            "  projected full window: at least 6,035 cells in 130 rows, every "
             f"near-apex cell at ~{per_cell:.0f} s -> hours, not minutes"
         )
         outcome["detail"] = (

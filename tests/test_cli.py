@@ -7,7 +7,7 @@ import pytest
 
 from trigap import cli, sweep
 from trigap.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, _default_threads, main
-from trigap.eigensolver import Spectrum, gap_with_error
+from trigap.eigensolver import ConvergenceError, Spectrum, gap_with_error
 from trigap.geometry import Triangle
 from trigap.sweep import format_value
 
@@ -656,6 +656,52 @@ def test_config_usage_errors(capsys, tmp_path, setup):
     code, _, stderr = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert "error:" in stderr
+
+
+# ---------------------------------------------------------------- --out
+
+
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (("eigen", "--apex", "0.5,0.4"), "gap_with_error"),
+        (("scaling", "--heights", "0.1"), "gap_with_error"),
+        (("plot-grid",), "gap_grid"),
+        (("lame-verify",), "verify_integral_tables"),
+        (("sweep", *SWEEP_ARGS), "run_sweep"),
+    ],
+    ids=["eigen", "scaling", "plot_grid", "lame_verify", "sweep"],
+)
+def test_unwritable_out_is_a_usage_error_before_any_work(
+    capsys, tmp_path, monkeypatch, argv, entry
+):
+    out = tmp_path / "nodir" / "x.csv"
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail(f"{entry} called before --out was opened")
+
+    monkeypatch.setattr(cli, entry, must_not_run)
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert stderr == f"error: cannot write {out}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eigen_failure_after_open_leaves_header_only_csv(capsys, tmp_path, monkeypatch):
+    out = tmp_path / "eigen.csv"
+
+    def no_convergence(*args, **kwargs):
+        raise ConvergenceError("no convergence")
+
+    monkeypatch.setattr(cli, "gap_with_error", no_convergence)
+    code, stdout, stderr = run(capsys, "eigen", "--apex", "0.5,0.4", "--out", str(out))
+    assert code == EXIT_FAIL
+    assert (stdout, stderr) == ("", "error: no convergence\n")
+    assert out.read_text() == (
+        "x,y,lambda1,lambda2,err_lambda1,err_lambda2,xi,xi_error,diameter,"
+        "level_coarse,level_fine,accuracy_met\n"
+    )
 
 
 # ---------------------------------------------------------------- misc

@@ -55,6 +55,8 @@ def test_direction_normalizes_and_validates():
     assert d.a == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         DeformationDirection(0.5, 0.5)
+    with pytest.raises(ValueError):
+        SecondEigenspaceCoeffs(0.5, 0.5)
 
 
 def test_deformation_matrix_doubles_height():

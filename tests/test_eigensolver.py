@@ -177,6 +177,42 @@ def test_scaling_covariance():
         assert b == pytest.approx(4.0 * a, rel=1e-11)
 
 
+def test_shift_breakdown_falls_back_to_unshifted(monkeypatch):
+    system = assemble(build_mesh(UNIT_RIGHT, 4))
+    unshifted = smallest_eigenpairs(system, k=2)
+    shift = 0.5 * unshifted[0][0]
+    shifted = smallest_eigenpairs(system, k=2, shift=shift)
+    for (a, _), (b, _) in zip(shifted, unshifted):
+        assert a == pytest.approx(b, rel=1e-10)
+
+    real_splu = eigensolver.splu
+    stiffness = system.stiffness.tocsc()
+
+    def splu_failing_when_shifted(op, **kwargs):
+        if (op != stiffness).nnz:
+            raise RuntimeError("Factor is exactly singular")
+        return real_splu(op, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "splu", splu_failing_when_shifted)
+    fallback = smallest_eigenpairs(system, k=2, shift=shift)
+    assert [v for v, _ in fallback] == [v for v, _ in unshifted]
+    for (_, a), (_, b) in zip(fallback, unshifted):
+        assert np.array_equal(a, b)
+    assert np.array_equal(fallback.block, unshifted.block)
+    assert fallback.iterations == unshifted.iterations
+
+    calls = []
+
+    def splu_failing(op, **kwargs):
+        calls.append(op)
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(eigensolver, "splu", splu_failing)
+    with pytest.raises(RuntimeError, match="singular"):
+        smallest_eigenpairs(system, k=2, shift=0.0)
+    assert len(calls) == 1
+
+
 def test_eigenvector_vanishes_on_boundary_dofs():
     mesh = build_mesh(UNIT_RIGHT, 4)
     system = assemble(mesh)

@@ -206,6 +206,25 @@ def test_trigsum_derivatives_match_finite_differences():
     assert np.allclose(f.dy()(x, y), fy, atol=1e-6)
 
 
+def test_trigsum_sum_adds_values_and_derivatives():
+    p = phi1_trigsum()
+    u = second_basis()[0].scaled(0.5)
+    total = p + u
+    # self's waves come first
+    for attr in ("coef", "kx", "ky", "is_cos"):
+        assert np.array_equal(
+            getattr(total, attr), np.concatenate([getattr(p, attr), getattr(u, attr)])
+        )
+    x = np.asarray([0.41, 0.52, 0.63])
+    y = np.asarray([0.22, 0.40, 0.17])
+    for whole, left, right in [
+        (total, p, u),
+        (total.dx(), p.dx(), u.dx()),
+        (total.dy(), p.dy(), u.dy()),
+    ]:
+        assert np.allclose(whole(x, y), left(x, y) + right(x, y), rtol=1e-13, atol=1e-12)
+
+
 def test_trigsum_third_matches_callable():
     f = third_eigenfunction_trigsum()
     ix, iy = _interior_grid(10)

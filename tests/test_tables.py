@@ -1,9 +1,11 @@
 """Tests for the reference integral table verification."""
 
+import csv
 import math
 
 import pytest
 
+from trigap.sweep import format_value
 from trigap.tables import CSV_COLUMNS, TableReport, verify_integral_tables
 
 
@@ -91,6 +93,13 @@ def test_csv_export(report, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == len(report.rows) + 1
+    # csv.writer's line ends, and every number written by the one formatter
+    raw = out.read_bytes().decode()
+    assert raw.endswith("\r\n")
+    assert raw.count("\r\n") == raw.count("\n") == len(lines)
+    for fields, r in zip(csv.reader(lines[1:]), report.rows):
+        values = (r.stated_value, r.computed_value, r.abs_error, r.rel_error)
+        assert fields == [r.name, *map(format_value, values), r.status]
 
 
 def test_runtime_is_interactive(report):
