@@ -61,6 +61,7 @@ from .sweep import (
     resume_point,
     run_sweep,
     _check_grid_request,
+    _check_run,
 )
 from .tables import verify_integral_tables, _check_quad_degree
 
@@ -290,12 +291,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         max_accuracy_rounds=args.max_rounds,
         max_level=args.max_level,
     )
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
-    budgets = {"--max-rows": args.max_rows, "--max-cells": args.max_cells}
-    for flag, budget in budgets.items():
-        if budget is not None and budget < 0:
-            raise ValueError(f"{flag} must be non-negative")
+    _check_run(args.threads, args.max_rows, args.max_cells)
     if not args.audit_spacing > 0.0:
         raise ValueError("--audit-spacing must be positive")
 
@@ -381,7 +377,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     heights = [float(p) for p in args.heights.split(",") if p.strip() != ""]
     if not heights:
         raise ValueError("no heights given")
-    if any(h < 0.01 for h in heights):
+    if any(not h >= 0.01 for h in heights):
         raise ValueError("heights below 0.01 are outside the solver's range")
     if any(b >= a for a, b in zip(heights, heights[1:])):
         raise ValueError("heights must be strictly descending")
@@ -390,13 +386,14 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     if not 0.0 < args.accuracy < 1.0:
         raise ValueError("relative accuracy must lie in (0, 1)")
     _check_request(args.accuracy, args.max_level)
+    # Triangle rejects an infinite height, before any output
+    triangles = [Triangle(args.x0, h) for h in heights]
 
     rows = []
     failures = 0
     header = "height,lambda1,lambda2,xi,xi_error,xi_times_h43,accuracy_met"
     with _open_csv(args.out, header) if args.out else nullcontext() as out_fh:
-        for h in heights:
-            triangle = Triangle(args.x0, h)
+        for h, triangle in zip(heights, triangles):
             try:
                 coarse = gap_with_error(triangle, 1e18, max_level=7)
                 target = max(args.accuracy * coarse.xi, 1e-6)
@@ -445,8 +442,6 @@ def cmd_lame_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_lame_spectrum(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise ValueError("--count must be positive")
     for k, level in enumerate(distinct_spectrum(args.count), start=1):
         pairs = " ".join(f"({p.m},{p.n})" for p in level.representative_pairs)
         print(
@@ -476,9 +471,8 @@ def cmd_deform_slope(args: argparse.Namespace) -> int:
     if args.coeffs is not None:
         pair = _unit_pair(args.coeffs, "--coeffs", "coefficients")
         coeffs = SecondEigenspaceCoeffs(*pair)
-    if args.t < 0.0:
-        raise ValueError("t must be non-negative")
-    # before any output: gamma_bounds rejects a --t that collapses the triangle
+    # before any output: gamma_bounds rejects a negative --t or one that
+    # collapses the triangle
     bounds = gamma_bounds(EQUILATERAL_APEX[1], direction, args.t)
     alpha = alpha_bound(direction, args.t)
     print(f"direction = {_point(direction.a, direction.b)}")

@@ -114,9 +114,9 @@ class SecondEigenspaceCoeffs:
 
 
 def _check_no_collapse(k: float, direction: DeformationDirection, t: float) -> None:
-    if k <= 0.0:
+    if not k > 0.0:
         raise ValueError("apex height k must be positive")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("deformation magnitude t must be non-negative")
     if k + t * direction.b <= 0.0:
         raise ValueError(f"deformation collapses the triangle: k + t*b = {k + t * direction.b}")

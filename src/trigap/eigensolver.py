@@ -27,7 +27,6 @@ __all__ = [
     "Mesh",
     "AssembledSystem",
     "EigenPairs",
-    "LevelSolve",
     "Spectrum",
     "ConvergenceError",
     "build_mesh",
@@ -144,35 +143,21 @@ class Spectrum:
         return self.eigenvalues[1]
 
 
-class EigenPairs(list):
-    """The k requested (eigenvalue, eigenvector) pairs, ascending.
+@dataclass(frozen=True)
+class EigenPairs:
+    """One level's solve: the k requested eigenvalues, ascending, and how
+    they were found.
 
     ``block`` holds every converged Ritz vector of the iteration as columns,
-    the pairs' vectors first, M-orthonormal; ``iterations`` counts the
+    M-orthonormal, the k eigenvectors first (``block[:, :k]``); it is the
+    start for the next level through ``prolongate``, and its row count is
+    the level's number of unknowns.  ``iterations`` counts the
     inverse-iteration steps taken.
     """
 
-    def __init__(self, pairs, block: np.ndarray, iterations: int) -> None:
-        super().__init__(pairs)
-        self.block = block
-        self.iterations = iterations
-
-
-class LevelSolve(tuple):
-    """Discrete eigenvalues of one level, ascending, plus how they were found.
-
-    Indexes as the plain tuple of eigenvalues.  ``block`` is the converged
-    Ritz block (see ``EigenPairs``), the start for the next level through
-    ``prolongate``.
-    """
-
-    def __new__(cls, values, level: int, unknowns: int, iterations: int, block: np.ndarray):
-        self = super().__new__(cls, values)
-        self.level = level
-        self.unknowns = unknowns
-        self.iterations = iterations
-        self.block = block
-        return self
+    values: tuple[float, ...]
+    block: np.ndarray
+    iterations: int
 
 
 def _as_vertices(triangle) -> np.ndarray:
@@ -350,8 +335,7 @@ def _block_inverse_iteration(
         resid = kv - mm @ v[:, :k] * theta[:k]
         ok = np.linalg.norm(resid, axis=0) <= RESIDUAL_TOL * np.linalg.norm(kv, axis=0)
         if bool(np.all(ok)):
-            pairs = [(float(theta[i]), v[:, i].copy()) for i in range(k)]
-            return EigenPairs(pairs, block=v, iterations=iteration)
+            return EigenPairs(tuple(theta[:k].tolist()), block=v, iterations=iteration)
     raise ConvergenceError(
         f"residual tolerance {RESIDUAL_TOL} not reached in {MAX_ITERATIONS} iterations"
     )
@@ -363,21 +347,14 @@ def solve_triangle(
     k: int = 2,
     shift: float = 0.0,
     start: np.ndarray | None = None,
-) -> LevelSolve:
-    """Discrete k smallest Dirichlet eigenvalues at one refinement level.
+) -> EigenPairs:
+    """Discrete k smallest Dirichlet eigenpairs at one refinement level.
 
     ``start`` is an initial block on this level's interior nodes, usually
     the previous level's block through ``prolongate``.
     """
     system = assemble(build_mesh(triangle, level))
-    pairs = smallest_eigenpairs(system, k, shift=shift, start=start)
-    return LevelSolve(
-        (value for value, _ in pairs),
-        level=level,
-        unknowns=system.stiffness.shape[0],
-        iterations=pairs.iterations,
-        block=pairs.block,
-    )
+    return smallest_eigenpairs(system, k, shift=shift, start=start)
 
 
 def _richardson(coarse: float, fine: float) -> tuple[float, float]:
@@ -391,11 +368,11 @@ def _richardson(coarse: float, fine: float) -> tuple[float, float]:
 
 
 def _check_request(target: float, max_level: int | None) -> None:
-    """Reject a target or a level cap that no solve could serve."""
-    if target <= 0.0:
+    """Reject a target (NaN too) or a level cap that no solve could serve."""
+    if not target > 0.0:
         raise ValueError("target accuracy must be positive")
     if max_level is not None and max_level < MIN_LEVEL + 1:
-        raise ValueError("level cap leaves no room for two consecutive solves")
+        raise ValueError(f"max_level must exceed the first level {MIN_LEVEL}")
 
 
 def gap_with_error(
@@ -430,8 +407,8 @@ def gap_with_error(
         start = None if block is None else prolongate(block, level - 1)
         solved = solve_triangle(verts, level, k=2, shift=shift, start=start)
         block = solved.block
-        history.append(tuple(solved))
-        solves.append((level, solved.unknowns, solved.iterations))
+        history.append(solved.values)
+        solves.append((level, block.shape[0], solved.iterations))
         if len(history) < 2:
             continue
         coarse, fine = history[-2], history[-1]

@@ -320,39 +320,38 @@ def third_eigenfunction(x, y, form: str = "validated"):
     raise ValueError("form must be 'validated' or 'printed'")
 
 
-def _five_point_laplacian(f, x, y, h: float):
+def _five_point_laplacian(f, x, y, center: np.ndarray, h: float):
+    """Five-point Laplacian of f at (x, y), where f takes the values center."""
     return (
         np.asarray(f(x + h, y))
         + np.asarray(f(x - h, y))
         + np.asarray(f(x, y + h))
         + np.asarray(f(x, y - h))
-        - 4.0 * np.asarray(f(x, y))
+        - 4.0 * center
     ) / (h * h)
 
 
-def laplacian_residual(
-    f, eigenvalue: float, spacing: float = 1e-4, extrapolate: bool = True
-) -> float:
+def laplacian_residual(f, eigenvalue: float) -> float:
     """Relative sup residual of Delta f + eigenvalue f on an interior grid.
 
     Five-point finite-difference Laplacian sampled on interior points of the
-    equilateral triangle, relative to sup |f|.  By default the stencil is
-    evaluated at both the given spacing and twice it and the two are
-    combined as (4 L_h - L_{2h})/3, cancelling the h^2 truncation term; a
-    plain stencil at spacing 1e-4 bottoms out near 5e-5 relative for
-    eigenvalues of size ~200 (truncation ~ lambda^2 h^2 / 12), which would
-    mask the residual of a genuinely wrong candidate only barely larger.
-    The coarser auxiliary sample (rather than a finer one) keeps the 1/h^2
-    roundoff amplification at the level of the stated spacing.
+    equilateral triangle, relative to sup |f|.  The stencil is evaluated at
+    spacing h = 1e-4 and at 2h, and the two are combined as
+    (4 L_h - L_{2h})/3, cancelling the h^2 truncation term; a plain stencil
+    at spacing 1e-4 bottoms out near 5e-5 relative for eigenvalues of size
+    ~200 (truncation ~ lambda^2 h^2 / 12), which would mask the residual of
+    a genuinely wrong candidate only barely larger.  The coarser auxiliary
+    sample (rather than a finer one) keeps the 1/h^2 roundoff amplification
+    at the level of h.
     """
-    pts = _interior_points(margin=4.0 * spacing)
+    h = 1e-4
+    pts = _interior_points(margin=4.0 * h)
     x, y = pts[:, 0], pts[:, 1]
-    lap = _five_point_laplacian(f, x, y, spacing)
-    if extrapolate:
-        lap_double = _five_point_laplacian(f, x, y, 2.0 * spacing)
-        lap = (4.0 * lap - lap_double) / 3.0
-    resid = lap + eigenvalue * np.asarray(f(x, y))
-    scale = float(np.max(np.abs(np.asarray(f(x, y)))))
+    values = np.asarray(f(x, y))
+    lap = _five_point_laplacian(f, x, y, values, h)
+    lap_double = _five_point_laplacian(f, x, y, values, 2.0 * h)
+    resid = (4.0 * lap - lap_double) / 3.0 + eigenvalue * values
+    scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         raise ValueError("function vanishes on the sample grid")
     return float(np.max(np.abs(resid))) / scale

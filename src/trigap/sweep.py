@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .eigensolver import MIN_LEVEL, ConvergenceError, Spectrum, gap_with_error
+from .eigensolver import ConvergenceError, Spectrum, gap_with_error, _check_request
 from .geometry import (
     EXCLUSION_RADIUS,
     GAP_THRESHOLD,
@@ -170,14 +170,11 @@ class SweepPolicy:
     max_level: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.initial_accuracy > 0.0:
-            raise ValueError("initial_accuracy must be positive")
-        if self.exclusion_radius < 0.0:
+        _check_request(self.initial_accuracy, self.max_level)
+        if not self.exclusion_radius >= 0.0:
             raise ValueError("exclusion_radius must be non-negative")
         if self.max_accuracy_rounds < 0:
             raise ValueError("max_accuracy_rounds must be non-negative")
-        if self.max_level is not None and self.max_level <= MIN_LEVEL:
-            raise ValueError(f"max_level must exceed the first level {MIN_LEVEL}")
 
 
 @dataclass(frozen=True)
@@ -301,12 +298,6 @@ def truncate_radius(t_prime: float) -> tuple[int, int, float]:
     if t_radius <= 0.0:
         raise SweepFailure("radius", f"radius {t_prime} underflows truncation")
     return (n, d, t_radius)
-
-
-def _default_solver(
-    triangle: Triangle, target: float, max_level: int | None
-) -> Spectrum:
-    return gap_with_error(triangle, target, max_level=max_level)
 
 
 def _certify_cell(
@@ -443,6 +434,14 @@ def _pin_blas_threads(count: int) -> list[tuple[Callable[[int], None], int]]:
     return saved
 
 
+def _check_run(threads: int, max_rows: int | None, max_cells: int | None) -> None:
+    """Reject a thread count or a budget that no sweep run could use."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    if any(budget is not None and budget < 0 for budget in (max_rows, max_cells)):
+        raise ValueError("max_rows and max_cells must be non-negative")
+
+
 def run_sweep(
     window: SweepWindow,
     policy: SweepPolicy | None = None,
@@ -488,11 +487,8 @@ def run_sweep(
     whatever rows above it were started.
     """
     policy = policy if policy is not None else SweepPolicy()
-    solver = solver if solver is not None else _default_solver
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-    if any(budget is not None and budget < 0 for budget in (max_rows, max_cells)):
-        raise ValueError("max_rows and max_cells must be non-negative")
+    solver = solver if solver is not None else gap_with_error
+    _check_run(threads, max_rows, max_cells)
 
     certify = partial(_certify_cell, policy=policy, solver=solver)
     state = SweepState(y=window.y0) if resume_from is None else resume_from
@@ -728,10 +724,7 @@ def _check_grid_request(
     """Reject a lattice, accuracy or level cap that no solve could use."""
     if tau_steps < 2 or nu_steps < 2:
         raise ValueError("need at least 2 steps on each axis")
-    if not accuracy > 0.0:
-        raise ValueError("accuracy must be positive")
-    if max_level is not None and max_level <= MIN_LEVEL:
-        raise ValueError(f"max_level must exceed the first level {MIN_LEVEL}")
+    _check_request(accuracy, max_level)
 
 
 def gap_grid(
@@ -751,7 +744,7 @@ def gap_grid(
     gets log_xi None.
     """
     _check_grid_request(tau_steps, nu_steps, accuracy, max_level)
-    active_solver = solver if solver is not None else _default_solver
+    active_solver = solver if solver is not None else gap_with_error
     points: list[GridPoint] = []
     for i in range(tau_steps):
         tau = 2.0 * (i + 1) / (tau_steps + 1)

@@ -211,9 +211,7 @@ def _check_quad_degree(quad_degree: int) -> None:
         raise ValueError("quad_degree below 4 cannot resolve the integrands")
 
 
-def verify_integral_tables(
-    quad_degree: int = 6, subdivision: int = 4
-) -> TableReport:
+def verify_integral_tables(quad_degree: int = 6) -> TableReport:
     """Evaluate every table entry at two quadrature degrees and compare.
 
     The value reported is from degree ``quad_degree + 1``; the difference
@@ -223,10 +221,8 @@ def verify_integral_tables(
     _check_quad_degree(quad_degree)
     rows = []
     for name, integrand, stated_value, kind, note in _entries():
-        lo = equilateral_integral(integrand, n=quad_degree, subdivision=subdivision)
-        hi = equilateral_integral(
-            integrand, n=quad_degree + 1, subdivision=subdivision
-        )
+        lo = equilateral_integral(integrand, n=quad_degree)
+        hi = equilateral_integral(integrand, n=quad_degree + 1)
         rows.append(_row(name, stated_value, hi, kind, abs(hi - lo), note))
     # Record the product-form constant itself for the report reader.
     rows.append(

@@ -78,7 +78,7 @@ def test_eigen_csv_fields_are_the_library_values(capsys, tmp_path):
     assert lines[1].split(",") == [format_value(v) for v in values]
 
 
-@pytest.mark.parametrize("accuracy", ["-1e-3", "-0.001", "0"])
+@pytest.mark.parametrize("accuracy", ["-1e-3", "-0.001", "0", "nan"])
 def test_eigen_negative_accuracy_reaches_the_solver(capsys, tmp_path, accuracy):
     out = tmp_path / "eigen.csv"
     code, stdout, stderr = run(
@@ -249,7 +249,7 @@ def test_sweep_resume_after_failed_row_writes_it_once(capsys, tmp_path, monkeypa
     assert code == EXIT_OK
 
     solves = []
-    solve = sweep._default_solver
+    solve = sweep.gap_with_error
 
     def flaky(triangle, target, max_level):
         solves.append(target)
@@ -258,7 +258,7 @@ def test_sweep_resume_after_failed_row_writes_it_once(capsys, tmp_path, monkeypa
         return solve(triangle, target, max_level)
 
     with monkeypatch.context() as m:
-        m.setattr(sweep, "_default_solver", flaky)
+        m.setattr(sweep, "gap_with_error", flaky)
         code, _, stderr = run(
             capsys, "sweep", *SWEEP_ARGS, "--out", str(part), "--no-audit"
         )
@@ -315,6 +315,7 @@ def test_sweep_rejects_bad_threads(capsys, tmp_path):
         ("--audit-spacing", "-1e-4"),
         ("--exclusion-radius", "-1e-4"),
         ("--accuracy", "-1e-3"),
+        ("--exclusion-radius", "nan"),
     ],
     ids=[
         "threads",
@@ -326,6 +327,7 @@ def test_sweep_rejects_bad_threads(capsys, tmp_path):
         "exponent_spacing",
         "exponent_radius",
         "exponent_accuracy",
+        "nan_radius",
     ],
 )
 def test_sweep_usage_error_keeps_existing_csv(capsys, tmp_path, bad, resume):
@@ -405,12 +407,18 @@ def test_scaling_csv_fields_are_the_library_values(capsys, tmp_path):
         ("--accuracy", "0"),
         ("--accuracy", "1.5"),
         ("--max-level", "2"),  # below the minimum refinement
+        ("--heights", "0.1,nan"),
+        ("--heights", "inf,0.1"),
     ],
 )
-def test_scaling_usage_errors(capsys, argv):
-    code, _, stderr = run(capsys, "scaling", *argv)
+def test_scaling_usage_errors(capsys, tmp_path, argv):
+    out = tmp_path / "scaling.csv"
+    code, stdout, stderr = run(capsys, "scaling", *argv, "--out", str(out))
     assert code == EXIT_USAGE
     assert "error:" in stderr
+    # rejected before any height is solved or --out is opened
+    assert stdout == ""
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- tables
@@ -505,6 +513,7 @@ def test_deform_slope_with_coeffs(capsys):
         ("--t", "-1"),
         ("--dir", "0,-1", "--t", "10"),  # collapses the triangle
         ("--t", "-1e-4"),
+        ("--t", "nan"),
     ],
 )
 def test_deform_slope_usage_errors(capsys, argv):

@@ -163,8 +163,8 @@ def test_lambda1_slope_against_eigensolver():
     t = 2e-3
     ex, ey = EQUILATERAL_APEX
     for d in (DOWN, WORST_DIRECTION):
-        plus = solve_triangle(Triangle(ex + t * d.a, ey + t * d.b), 7, k=1)[0]
-        minus = solve_triangle(Triangle(ex - t * d.a, ey - t * d.b), 7, k=1)[0]
+        plus = solve_triangle(Triangle(ex + t * d.a, ey + t * d.b), 7, k=1).values[0]
+        minus = solve_triangle(Triangle(ex - t * d.a, ey - t * d.b), 7, k=1).values[0]
         fd = (plus - minus) / (2.0 * t)
         assert fd == pytest.approx(lambda1_slope_closed_form(d), abs=0.35)
 

@@ -28,6 +28,7 @@ from trigap.eigensolver import (
 )
 from trigap.geometry import EQUILATERAL_APEX, Triangle
 from trigap.lame import LAMBDA1, LAMBDA2
+from trigap.sweep import SweepPolicy, gap_grid
 
 UNIT_RIGHT = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
@@ -122,7 +123,7 @@ def test_eigenvalues_decrease_under_nested_refinement():
     # conforming P1 on nested meshes: Rayleigh quotients can only improve
     prev = None
     for level in (3, 4, 5, 6):
-        lam = solve_triangle(Triangle(0.0, 1.0), level)
+        lam = solve_triangle(Triangle(0.0, 1.0), level).values
         if prev is not None:
             assert lam[0] < prev[0]
             assert lam[1] < prev[1]
@@ -131,8 +132,8 @@ def test_eigenvalues_decrease_under_nested_refinement():
 
 def test_right_isosceles_converges_to_half_square_spectrum():
     exact = (5.0 * math.pi**2, 10.0 * math.pi**2)
-    coarse = solve_triangle(Triangle(0.0, 1.0), 6)
-    fine = solve_triangle(Triangle(0.0, 1.0), 7)
+    coarse = solve_triangle(Triangle(0.0, 1.0), 6).values
+    fine = solve_triangle(Triangle(0.0, 1.0), 7).values
     for i in (0, 1):
         extrap = fine[i] + (fine[i] - coarse[i]) / 3.0
         assert extrap == pytest.approx(exact[i], rel=2e-4)
@@ -141,8 +142,8 @@ def test_right_isosceles_converges_to_half_square_spectrum():
 
 def test_equilateral_converges_to_closed_form():
     tri = Triangle(*EQUILATERAL_APEX)
-    coarse = solve_triangle(tri, 6)
-    fine = solve_triangle(tri, 7)
+    coarse = solve_triangle(tri, 6).values
+    fine = solve_triangle(tri, 7).values
     for i, exact in enumerate((LAMBDA1, LAMBDA2)):
         extrap = fine[i] + (fine[i] - coarse[i]) / 3.0
         assert extrap == pytest.approx(exact, rel=2e-4)
@@ -150,7 +151,7 @@ def test_equilateral_converges_to_closed_form():
 
 def test_observed_convergence_rate_is_second_order():
     tri = Triangle(*EQUILATERAL_APEX)
-    lams = [solve_triangle(tri, lvl)[0] for lvl in (4, 5, 6, 7)]
+    lams = [solve_triangle(tri, lvl).values[0] for lvl in (4, 5, 6, 7)]
     err = [lam - LAMBDA1 for lam in lams]
     ratios = [err[i] / err[i + 1] for i in range(3)]
     for r in ratios:
@@ -159,8 +160,8 @@ def test_observed_convergence_rate_is_second_order():
 
 def test_domain_monotonicity():
     # same base, higher apex contains the lower triangle
-    inner = solve_triangle(Triangle(0.5, 0.8), 6)
-    outer = solve_triangle(Triangle(0.5, 0.9), 6)
+    inner = solve_triangle(Triangle(0.5, 0.8), 6).values
+    outer = solve_triangle(Triangle(0.5, 0.9), 6).values
     assert inner[0] > outer[0]
     assert inner[1] > outer[1]
 
@@ -169,10 +170,8 @@ def test_scaling_covariance():
     # shrinking the domain by 1/2 multiplies eigenvalues by 4
     base = ((0.0, 0.0), (1.0, 0.0), (0.3, 0.8))
     small = tuple((0.5 * x, 0.5 * y) for x, y in base)
-    lam = [v for v, _ in smallest_eigenpairs(assemble(build_mesh(base, 5)), k=2)]
-    lam_small = [
-        v for v, _ in smallest_eigenpairs(assemble(build_mesh(small, 5)), k=2)
-    ]
+    lam = smallest_eigenpairs(assemble(build_mesh(base, 5)), k=2).values
+    lam_small = smallest_eigenpairs(assemble(build_mesh(small, 5)), k=2).values
     for a, b in zip(lam, lam_small):
         assert b == pytest.approx(4.0 * a, rel=1e-11)
 
@@ -180,9 +179,9 @@ def test_scaling_covariance():
 def test_shift_breakdown_falls_back_to_unshifted(monkeypatch):
     system = assemble(build_mesh(UNIT_RIGHT, 4))
     unshifted = smallest_eigenpairs(system, k=2)
-    shift = 0.5 * unshifted[0][0]
+    shift = 0.5 * unshifted.values[0]
     shifted = smallest_eigenpairs(system, k=2, shift=shift)
-    for (a, _), (b, _) in zip(shifted, unshifted):
+    for a, b in zip(shifted.values, unshifted.values):
         assert a == pytest.approx(b, rel=1e-10)
 
     real_splu = eigensolver.splu
@@ -195,9 +194,7 @@ def test_shift_breakdown_falls_back_to_unshifted(monkeypatch):
 
     monkeypatch.setattr(eigensolver, "splu", splu_failing_when_shifted)
     fallback = smallest_eigenpairs(system, k=2, shift=shift)
-    assert [v for v, _ in fallback] == [v for v, _ in unshifted]
-    for (_, a), (_, b) in zip(fallback, unshifted):
-        assert np.array_equal(a, b)
+    assert fallback.values == unshifted.values
     assert np.array_equal(fallback.block, unshifted.block)
     assert fallback.iterations == unshifted.iterations
 
@@ -217,7 +214,7 @@ def test_eigenvector_vanishes_on_boundary_dofs():
     mesh = build_mesh(UNIT_RIGHT, 4)
     system = assemble(mesh)
     pairs = smallest_eigenpairs(system, k=1)
-    vec = pairs[0][1]
+    vec = pairs.block[:, 0]
     # interior-only unknowns: the vector has exactly one entry per interior node
     _, _, boundary = lattice(mesh)
     assert vec.shape[0] == int(np.count_nonzero(~boundary))
@@ -261,6 +258,25 @@ def test_gap_with_error_validates_inputs():
         gap_with_error(Triangle(0.5, 0.5), 0.0)
     with pytest.raises(ValueError):
         gap_with_error(Triangle(0.5, 0.5), 1.0, max_level=4)
+
+
+@pytest.mark.parametrize(
+    "make_request",
+    [
+        lambda: gap_with_error(Triangle(0.5, 0.6), math.nan),
+        lambda: SweepPolicy(initial_accuracy=math.nan),
+        lambda: gap_grid(2, 2, accuracy=math.nan),
+    ],
+    ids=["gap_with_error", "sweep_policy", "gap_grid"],
+)
+def test_nan_target_is_rejected_before_any_solve(make_request, monkeypatch):
+    # one check of a solve request serves the solver, the sweep and the grid
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_triangle called for a rejected request")
+
+    monkeypatch.setattr(eigensolver, "solve_triangle", no_solve)
+    with pytest.raises(ValueError, match="^target accuracy must be positive$"):
+        make_request()
 
 
 def test_thin_triangle_flags_unmet_accuracy_at_low_cap():
@@ -346,8 +362,8 @@ def test_warm_started_ladder_matches_cold_solves(apex, monkeypatch):
         solve = eigensolver.solve_triangle
 
         def recording(*args, **kwargs):
-            solved.append(solve(*args, **kwargs))
-            return solved[-1]
+            solved.append((args[1], solve(*args, **kwargs)))
+            return solved[-1][1]
 
         with monkeypatch.context() as m:
             m.setattr(eigensolver, "solve_triangle", recording)
@@ -359,11 +375,13 @@ def test_warm_started_ladder_matches_cold_solves(apex, monkeypatch):
     monkeypatch.setattr(eigensolver, "prolongate", lambda block, level: None)
     cold_spectrum, cold = ladder()
 
-    assert spectrum.solves == tuple((s.level, s.unknowns, s.iterations) for s in warm)
-    assert [s.level for s in warm] == [s.level for s in cold] == [4, 5, 6, 7]
-    for w, c in zip(warm, cold):
-        assert w == pytest.approx(c, rel=1e-11, abs=0.0)
-        if w.level >= 6:
+    assert spectrum.solves == tuple(
+        (level, s.block.shape[0], s.iterations) for level, s in warm
+    )
+    assert [level for level, _ in warm] == [level for level, _ in cold] == [4, 5, 6, 7]
+    for (level, w), (_, c) in zip(warm, cold):
+        assert w.values == pytest.approx(c.values, rel=1e-11, abs=0.0)
+        if level >= 6:
             assert w.iterations < c.iterations
     assert spectrum.levels == cold_spectrum.levels
     assert spectrum.xi == pytest.approx(cold_spectrum.xi, rel=1e-11)

@@ -36,6 +36,11 @@ def test_every_level_passes_through_the_traced_attributes(monkeypatch):
     unknowns = [(2**L - 1) * (2**L - 2) // 2 for L in levels]
     assert [system.stiffness.shape[0] for _, system in calls["assemble"]] == unknowns
     assert len(calls["smallest_eigenpairs"]) == len(levels)
+    # each level's record is the object the eigensolver returned, not a copy
+    for (_, solved), (_, pairs) in zip(
+        calls["solve_triangle"], calls["smallest_eigenpairs"], strict=True
+    ):
+        assert solved is pairs
     assert [solve[:2] for solve in spectrum.solves] == list(zip(levels, unknowns))
 
 
