@@ -153,33 +153,29 @@ def gamma_bounds(k: float, direction: DeformationDirection, t: float) -> GammaBo
     )
 
 
+def _spread_per_t(k: float, direction: DeformationDirection, t: float) -> float:
+    """(gamma_plus - gamma_minus) / t = sqrt(4k^2 + t^2 + 4bkt) / (k + tb)^2."""
+    _check_no_collapse(k, direction, t)
+    b = direction.b
+    return math.sqrt(4.0 * k * k + t * t + 4.0 * b * k * t) / (k + t * b) ** 2
+
+
 def gamma_spread_closed_form(
     k: float, direction: DeformationDirection, t: float
 ) -> float:
     """gamma_plus - gamma_minus = t sqrt(4k^2 + t^2 + 4bkt) / (k + tb)^2."""
-    _check_no_collapse(k, direction, t)
-    b = direction.b
-    return (
-        t
-        * math.sqrt(4.0 * k * k + t * t + 4.0 * b * k * t)
-        / (k + t * b) ** 2
-    )
+    return t * _spread_per_t(k, direction, t)
 
 
 def alpha_bound(direction: DeformationDirection, t: float) -> float:
     """Relative first-order bound at the equilateral triangle.
 
-    |lam_i(t) - lam_i| <= t * alpha_bound * lam_i; the factor is
-    4 sqrt(3 + 2 sqrt3 b t + t^2) / (sqrt3 + 2tb)^2 and stays below 2.32
-    for t <= 0.0004 regardless of direction.
+    |lam_i(t) - lam_i| <= t * alpha_bound * lam_i; the factor is the gamma
+    spread per unit t at k = sqrt3/2, 4 sqrt(3 + 2 sqrt3 b t + t^2) /
+    (sqrt3 + 2tb)^2, and stays below 2.32 for t <= 0.0004 regardless of
+    direction.
     """
-    _check_no_collapse(EQUILATERAL_HEIGHT, direction, t)
-    b = direction.b
-    return (
-        4.0
-        * math.sqrt(3.0 + 2.0 * _SQRT3 * b * t + t * t)
-        / (_SQRT3 + 2.0 * t * b) ** 2
-    )
+    return _spread_per_t(EQUILATERAL_HEIGHT, direction, t)
 
 
 def perturbation_operator_coeffs(
@@ -282,9 +278,12 @@ def slope_gap_branch_extremes(
     C0 - C1 cos(psi) - C2 sin(psi), so the extremes are C0 -+ sqrt(C1^2+C2^2).
     """
     a, b = direction.a, direction.b
-    c0 = -25600.0 * math.pi**2 * b / (1800.0 * _SQRT3)
-    c1 = 118098.0 * b / (1800.0 * _SQRT3)
-    c2 = 6561.0 * a / (100.0 * _SQRT3)
+    # I = -A1 b + A2 a is affine in (g, h) = (2 cos psi, (2/sqrt3) sin psi)
+    a1_0, _ = _I_coefficients(0.0, 0.0)
+    a1_1, a2_1 = _I_coefficients(1.0, 1.0)
+    c0 = -a1_0 * b
+    c1 = 2.0 * (a1_1 - a1_0) * b
+    c2 = -2.0 / _SQRT3 * a2_1 * a
     radius = math.hypot(c1, c2)
     return (c0 - radius, c0 + radius)
 

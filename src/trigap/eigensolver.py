@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 from .geometry import Triangle, diameter, gap_function
@@ -57,12 +57,42 @@ MIN_LEVEL = 4
 #: Relative residual |K v - lambda M v| / |K v| every returned eigenpair meets.
 RESIDUAL_TOL = 1e-10
 
-#: Iteration cap of the block inverse iteration.
+#: Iteration cap of the block inverse iteration and of LOBPCG.
 MAX_ITERATIONS = 10000
+
+#: Finest level solved by shifted inverse iteration on every shape (32,385
+#: unknowns), and the coarsest level of the multigrid hierarchy above it.
+#: Measured on 2 vCPUs: at apex (0.5, 0.8647) multigrid LOBPCG took 1.1 s
+#: at level 9 against 2.2 s direct and 4.0 s at level 10 against 7.7 s, but
+#: at level 8 (over a level-7 factor) 0.32-0.44 s against 0.38-0.47 s
+#: direct, here and at (0.52, 0.41): no gain below level 9.
+DIRECT_MAX_LEVEL = 8
+
+#: Smallest angle, in degrees, from which levels above DIRECT_MAX_LEVEL use
+#: multigrid LOBPCG, whose Jacobi smoothing weakens as elements flatten.
+#: Measured on 2 vCPUs at level 9, LOBPCG steps against direct iterations
+#: and times: 27 deg 12 against 9, 1.8 s against 2.5 s; 25 deg 13-14
+#: against 9, 2.2-2.3 s on both paths; 17.5 deg 16 against 10, 2.8 s
+#: against 2.7 s.  At level 10, 30 deg took 8.5 s against 10.6 s and 25 deg
+#: 9.5-10.2 s against 9.2-10.0 s.
+MULTIGRID_MIN_ANGLE = 27.0
+
+#: Damped Jacobi smoothing of the V-cycle: weight and sweeps on each side.
+JACOBI_WEIGHT = 2.0 / 3.0
+JACOBI_SWEEPS = 2
+
+#: Relative Gram eigenvalue below which a LOBPCG search direction is dropped.
+DEPENDENCE_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
     """Eigensolver failed to meet its residual tolerance within the cap."""
+
+
+def _unconverged() -> ConvergenceError:
+    return ConvergenceError(
+        f"residual tolerance {RESIDUAL_TOL} not reached in {MAX_ITERATIONS} iterations"
+    )
 
 
 @dataclass(frozen=True)
@@ -245,24 +275,33 @@ def assemble(mesh: Mesh) -> AssembledSystem:
     return AssembledSystem(stiffness=stiffness, mass=mass)
 
 
-def prolongate(block: np.ndarray, level: int) -> np.ndarray:
+def _prolongation(level: int) -> csr_matrix:
     """P1 interpolation of interior-node vectors from ``level`` to ``level + 1``.
 
     Coarse node (i, j) becomes fine node (2i, 2j); every other fine node is
     the midpoint of a coarse edge and takes the mean of its two ends, which
     are zero on the boundary.  The coarse space is nested in the fine one, so
-    M-inner products between the columns are kept.
+    M-inner products between the columns are kept, and the coarse stiffness
+    and mass are the Galerkin products P^T K P and P^T M P of the fine ones.
     """
     n = 2**level
-    ci, cj = _interior_nodes(n)
-    coarse = np.zeros((n + 1, n + 1, block.shape[1]))
-    coarse[ci, cj] = block
-    fine = np.zeros((2 * n + 1, 2 * n + 1, block.shape[1]))
-    fine[::2, ::2] = coarse
-    fine[1::2, ::2] = 0.5 * (coarse[:-1] + coarse[1:])
-    fine[::2, 1::2] = 0.5 * (coarse[:, :-1] + coarse[:, 1:])
-    fine[1::2, 1::2] = 0.5 * (coarse[:-1, 1:] + coarse[1:, :-1])
-    return fine[_interior_nodes(2 * n)]
+    fi, fj = _interior_nodes(2 * n)
+    oi, oj = fi % 2, fj % 2
+    # the two ends of the coarse edge (one node, twice, when both are even);
+    # the diagonal midpoint joins (i, j+1) and (i+1, j)
+    both = oi & oj
+    ends_i = np.stack([(fi - oi) // 2, (fi + oi) // 2])
+    ends_j = np.stack([(fj - oj) // 2 + both, (fj + oj) // 2 - both])
+    rows = np.broadcast_to(np.arange(fi.size), ends_i.shape)
+    inside = (ends_i >= 1) & (ends_j >= 1) & (ends_i + ends_j <= n - 1)
+    cols = _interior_offset(ends_i[inside], n) + ends_j[inside] - 1
+    shape = (fi.size, (n - 1) * (n - 2) // 2)
+    return coo_matrix((np.full(cols.size, 0.5), (rows[inside], cols)), shape=shape).tocsr()
+
+
+def prolongate(block: np.ndarray, level: int) -> np.ndarray:
+    """Interpolate the columns of ``block`` from ``level`` to ``level + 1``."""
+    return _prolongation(level) @ block
 
 
 def smallest_eigenpairs(
@@ -271,32 +310,98 @@ def smallest_eigenpairs(
     shift: float = 0.0,
     start: np.ndarray | None = None,
 ) -> EigenPairs:
-    """k smallest eigenpairs of K v = lambda M v by block inverse iteration.
+    """k smallest eigenpairs of K v = lambda M v, from a block of k+3 vectors.
 
-    The matrix K - shift*M is factorized once; the block of k+3 vectors is
-    M-orthonormalized each step and reduced by Rayleigh-Ritz.  Vectors are
-    returned M-orthonormal.  The iteration starts from the columns of
-    ``start`` (at most k+3 are used), filled up with seeded noise, so the
-    result is a deterministic function of the system and the start.  Raises
-    ConvergenceError if the residual tolerance is not met within the
-    iteration cap; never returns a silently unconverged answer.
+    Up to level ``DIRECT_MAX_LEVEL``, and on any triangle whose smallest
+    angle is below ``MULTIGRID_MIN_ANGLE``, the matrix K - shift*M is
+    factorized once and the block runs shifted inverse iteration.  Finer
+    levels of better-shaped triangles run LOBPCG preconditioned by a
+    multigrid V-cycle, which needs no factor of the level itself.  Either
+    way the block is M-orthonormalized and reduced by Rayleigh-Ritz each
+    step, and vectors are returned M-orthonormal.  The iteration starts from
+    the columns of ``start`` (at most k+3 are used), filled up with seeded
+    noise, so the result is a deterministic function of the system and the
+    start.  Raises ConvergenceError if the residual tolerance is not met
+    within the iteration cap; never returns a silently unconverged answer.
 
     A shift strictly below the first eigenvalue keeps the factorization
     positive definite and sharpens the contraction when the low spectrum is
     clustered (thin triangles).  Any breakdown under a nonzero shift falls
-    back to the unshifted iteration.
+    back to the unshifted iteration.  The multigrid path ignores the shift.
     """
     n = system.stiffness.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if start is not None and start.shape[0] != n:
         raise ValueError(f"start block has {start.shape[0]} rows, system has {n}")
+    level = _lattice_level(n)
+    if level > DIRECT_MAX_LEVEL and _smallest_angle(system.stiffness) >= MULTIGRID_MIN_ANGLE:
+        return _multigrid_lobpcg(system, k, start, level)
     try:
         return _block_inverse_iteration(system, k, shift, start)
     except (ConvergenceError, np.linalg.LinAlgError, RuntimeError):
         if shift == 0.0:
             raise
         return _block_inverse_iteration(system, k, 0.0, start)
+
+
+def _lattice_level(unknowns: int) -> int:
+    """Level whose lattice has ``unknowns`` = (n-1)(n-2)/2 interior nodes."""
+    n = round((3.0 + math.sqrt(1.0 + 8.0 * unknowns)) / 2.0)
+    return n.bit_length() - 1
+
+
+def _smallest_angle(stiffness: csr_matrix) -> float:
+    """Smallest angle of the triangle, in degrees, read from its stiffness.
+
+    An edge's off-diagonal entry is -cot of the angle opposite it, so the
+    most negative entry belongs to the smallest angle.
+    """
+    return math.degrees(math.atan2(1.0, -float(stiffness.data.min())))
+
+
+def _factor(op: csr_matrix):
+    return splu(
+        op.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
+def _start_block(start: np.ndarray | None, n: int, width: int) -> np.ndarray:
+    """The first ``width`` columns of ``start``, filled up with seeded noise."""
+    rng = np.random.default_rng(0)
+    used = 0 if start is None else min(start.shape[1], width)
+    v = rng.standard_normal((n, width - used))
+    if used:
+        v = np.hstack([start[:, :used], v])
+    return v
+
+
+def _rayleigh_ritz(system: AssembledSystem, w: np.ndarray, k: int):
+    """M-orthonormalize the columns of w and rotate them onto Ritz vectors.
+
+    Returns the Ritz values, the Ritz block and whether the first k pairs
+    meet the residual tolerance.
+    """
+    kk, mm = system.stiffness, system.mass
+    chol = np.linalg.cholesky(w.T @ (mm @ w))
+    w = solve_triangular(chol, w.T, lower=True).T
+    h = w.T @ (kk @ w)
+    h = 0.5 * (h + h.T)
+    theta, s = np.linalg.eigh(h)
+    v = w @ s
+    return theta, v, _residuals_met(system, v[:, :k], theta[:k])
+
+
+def _residuals_met(system: AssembledSystem, v: np.ndarray, theta: np.ndarray) -> bool:
+    """Whether every column meets |K v - theta M v| <= RESIDUAL_TOL |K v|."""
+    kv = system.stiffness @ v
+    resid = kv - system.mass @ v * theta
+    return bool(
+        np.all(np.linalg.norm(resid, axis=0) <= RESIDUAL_TOL * np.linalg.norm(kv, axis=0))
+    )
 
 
 def _block_inverse_iteration(
@@ -307,38 +412,93 @@ def _block_inverse_iteration(
 ) -> EigenPairs:
     n = system.stiffness.shape[0]
     kk = system.stiffness
-    mm = system.mass
-    block = min(k + 3, n)
-    op = kk if shift == 0.0 else (kk - shift * mm).tocsr()
-    lu = splu(
-        op.tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    rng = np.random.default_rng(0)
-    width = 0 if start is None else min(start.shape[1], block)
-    v = rng.standard_normal((n, block - width))
-    if width:
-        v = np.hstack([start[:, :width], v])
-    theta = np.zeros(block)
+    op = kk if shift == 0.0 else (kk - shift * system.mass).tocsr()
+    lu = _factor(op)
+    v = _start_block(start, n, min(k + 3, n))
     for iteration in range(1, MAX_ITERATIONS + 1):
-        w = lu.solve(mm @ v)
-        gram = w.T @ (mm @ w)
-        chol = np.linalg.cholesky(gram)
-        w = solve_triangular(chol, w.T, lower=True).T
-        h = w.T @ (kk @ w)
-        h = 0.5 * (h + h.T)
-        theta, s = np.linalg.eigh(h)
-        v = w @ s
-        kv = kk @ v[:, :k]
-        resid = kv - mm @ v[:, :k] * theta[:k]
-        ok = np.linalg.norm(resid, axis=0) <= RESIDUAL_TOL * np.linalg.norm(kv, axis=0)
-        if bool(np.all(ok)):
+        theta, v, converged = _rayleigh_ritz(system, lu.solve(system.mass @ v), k)
+        if converged:
             return EigenPairs(tuple(theta[:k].tolist()), block=v, iterations=iteration)
-    raise ConvergenceError(
-        f"residual tolerance {RESIDUAL_TOL} not reached in {MAX_ITERATIONS} iterations"
-    )
+    raise _unconverged()
+
+
+def _v_cycle(grids: list, bottom, r: np.ndarray) -> np.ndarray:
+    """One multigrid V-cycle for K x = r, from a zero start.
+
+    ``grids`` runs from the finest level down, each entry the level's
+    operator, its damped inverse diagonal and the prolongation from the
+    level below; ``bottom`` is the factor of the coarsest operator.  Jacobi
+    sweeps before and after the coarse correction keep the cycle symmetric.
+    """
+    if not grids:
+        return bottom.solve(r)
+    (a, jacobi, p), coarser = grids[0], grids[1:]
+
+    def smooth(x: np.ndarray) -> None:
+        step = a @ x
+        np.subtract(r, step, out=step)
+        step *= jacobi
+        x += step
+
+    x = jacobi * r
+    for _ in range(JACOBI_SWEEPS - 1):
+        smooth(x)
+    x += p @ _v_cycle(coarser, bottom, p.T @ (r - a @ x))
+    for _ in range(JACOBI_SWEEPS):
+        smooth(x)
+    return x
+
+
+def _multigrid_lobpcg(
+    system: AssembledSystem,
+    k: int,
+    start: np.ndarray | None,
+    level: int,
+) -> EigenPairs:
+    """Block LOBPCG (Knyazev 2001) preconditioned by a V-cycle on K.
+
+    The coarse operators are Galerkin products P^T K P down to level
+    ``DIRECT_MAX_LEVEL``, which is factorized.  Each step searches the span
+    of the Ritz block, its preconditioned residuals and the previous step's
+    direction; the new directions are M-orthogonalized against the block and
+    orthonormalized by their Gram matrix, dropping near-dependent ones.
+    """
+    grids = []
+    a = system.stiffness
+    for coarse in range(level - 1, DIRECT_MAX_LEVEL - 1, -1):
+        p = _prolongation(coarse)
+        grids.append((a, (JACOBI_WEIGHT / a.diagonal())[:, None], p))
+        a = (p.T @ (a @ p)).tocsr()
+    bottom = _factor(a)
+
+    kk, mm = system.stiffness, system.mass
+    n = kk.shape[0]
+    theta, v, _ = _rayleigh_ritz(system, _start_block(start, n, min(k + 3, n)), k)
+    width = v.shape[1]
+    direction = v[:, :0]
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        kv, mv = kk @ v, mm @ v
+        y = np.hstack([_v_cycle(grids, bottom, kv - mv * theta), direction])
+        for _ in range(2):
+            y -= v @ (mv.T @ y)
+        gram = y.T @ (mm @ y)
+        scale = 1.0 / np.sqrt(np.diag(gram))
+        mu, u = np.linalg.eigh(gram * np.outer(scale, scale))
+        keep = mu > DEPENDENCE_TOL * mu[-1]
+        y = y @ (scale[:, None] * u[:, keep] / np.sqrt(mu[keep]))
+        ky = kk @ y
+        h = np.block([[v.T @ kv, v.T @ ky], [ky.T @ v, y.T @ ky]])
+        ritz, c = np.linalg.eigh(0.5 * (h + h.T))
+        theta = ritz[:width]
+        direction = y @ c[width:, :width]
+        v = v @ c[:width, :width] + direction
+        # the search basis is M-orthonormal only to rounding: a block that
+        # passes is orthonormalized and checked once more before it is kept
+        if _residuals_met(system, v[:, :k], theta[:k]):
+            theta, v, converged = _rayleigh_ritz(system, v, k)
+            if converged:
+                return EigenPairs(tuple(theta[:k].tolist()), block=v, iterations=iteration)
+    raise _unconverged()
 
 
 def solve_triangle(

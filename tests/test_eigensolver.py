@@ -431,3 +431,85 @@ def test_error_bounds_enclose_closed_form_spectra(name, angle, shift, scale, ord
             assert abs(lam - ref) <= err
         exact_xi = spectrum.diameter**2 * (exact[1] - exact[0])
         assert abs(spectrum.xi - exact_xi) <= spectrum.xi_error
+
+
+def _level_9_system(apex):
+    """Level 9 of a triangle, the start its ladder gives it (the level-8
+    Ritz block, prolongated) and a shift below its first eigenvalue."""
+    tri = Triangle(*apex)
+    below = smallest_eigenpairs(assemble(build_mesh(tri, 8)), k=2)
+    shift = 0.99 * below.values[0]
+    return assemble(build_mesh(tri, 9)), prolongate(below.block, 8), shift
+
+
+def _record_multigrid_levels(monkeypatch):
+    """The levels at which ``_multigrid_lobpcg`` is entered, as it runs."""
+    entered = []
+    lobpcg = eigensolver._multigrid_lobpcg
+    monkeypatch.setattr(
+        eigensolver,
+        "_multigrid_lobpcg",
+        lambda *args: entered.append(args[3]) or lobpcg(*args),
+    )
+    return entered
+
+
+@pytest.mark.parametrize("apex", [(0.5, 0.8647), (0.3, 0.7)])
+def test_multigrid_path_matches_direct_at_level_9(apex, monkeypatch):
+    system, start, shift = _level_9_system(apex)
+    entered = _record_multigrid_levels(monkeypatch)
+    pairs = smallest_eigenpairs(system, k=2, shift=shift, start=start)
+    assert entered == [9]
+    direct = eigensolver._block_inverse_iteration(system, 2, shift, start)
+    assert pairs.values == pytest.approx(direct.values, rel=1e-10, abs=0.0)
+    block = pairs.block
+    assert block.shape == direct.block.shape
+    gram = block.T @ (system.mass @ block)
+    assert np.allclose(gram, np.eye(block.shape[1]), rtol=0.0, atol=1e-12)
+
+
+def test_poorly_shaped_triangle_keeps_the_direct_path(monkeypatch):
+    # smallest angle 11.3 degrees: Jacobi smoothing would need about twice
+    # the direct iterations, so level 9 stays on inverse iteration
+    system, start, shift = _level_9_system((0.5, 0.1))
+
+    def no_v_cycle(*args):
+        raise AssertionError("V-cycle entered below the angle threshold")
+
+    monkeypatch.setattr(eigensolver, "_v_cycle", no_v_cycle)
+    pairs = smallest_eigenpairs(system, k=2, shift=shift, start=start)
+    direct = eigensolver._block_inverse_iteration(system, 2, shift, start)
+    assert pairs.values == direct.values
+    assert np.array_equal(pairs.block, direct.block)
+    assert pairs.iterations == direct.iterations
+
+
+def test_smallest_angle_is_read_from_the_stiffness():
+    for apex, degrees in [
+        (EQUILATERAL_APEX, 60.0),
+        ((0.0, 1.0), 45.0),
+        ((0.75, math.sqrt(3.0) / 4.0), 30.0),
+        ((0.5, 0.1), math.degrees(math.atan(0.2))),
+    ]:
+        stiffness = assemble(build_mesh(Triangle(*apex), 3)).stiffness
+        assert eigensolver._smallest_angle(stiffness) == pytest.approx(degrees, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM))
+def test_error_bounds_enclose_closed_form_spectra_on_the_multigrid_levels(name, monkeypatch):
+    # cap 9: levels (8, 9); every closed-form shape has its smallest angle
+    # at or above 30 degrees, so level 9 is solved by multigrid LOBPCG
+    apex, exact = _CLOSED_FORM[name]
+    c, s = math.cos(0.4), math.sin(0.4)
+    vertices = 1.5 * np.array(Triangle(*apex).vertices)[[1, 2, 0]] @ np.array(
+        [[c, s], [-s, c]]
+    ) + (0.3, -1.1)
+    exact = tuple(lam / 1.5**2 for lam in exact)
+    entered = _record_multigrid_levels(monkeypatch)
+    spectrum = gap_with_error(vertices, 1e-12, max_level=9)
+    assert entered == [9]
+    assert spectrum.levels == (8, 9)
+    for lam, err, ref in zip(spectrum.eigenvalues, spectrum.error_bounds, exact):
+        assert abs(lam - ref) <= err
+    exact_xi = spectrum.diameter**2 * (exact[1] - exact[0])
+    assert abs(spectrum.xi - exact_xi) <= spectrum.xi_error

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigap.eigensolver import Spectrum
+from trigap.eigensolver import Spectrum, gap_with_error
 from trigap.geometry import EQUILATERAL_APEX, GAP_THRESHOLD
 from trigap.sweep import (
     CONTINUITY_FACTOR,
@@ -833,3 +833,25 @@ def test_real_solver_small_window():
     threaded = run_sweep(window, policy=SweepPolicy(initial_accuracy=0.25), threads=2)
     assert threaded.reason == "complete"
     assert cells_to_csv(threaded.cells) == cells_to_csv(result.cells)
+
+
+def test_real_solver_multigrid_levels_ignore_the_thread_count():
+    # every cell re-solves to levels (8, 9); level 9 runs multigrid LOBPCG,
+    # whose dense products use BLAS at its own thread count when serial and
+    # at one thread in pool workers
+    window = SweepWindow(0.5, 0.5005, 0.70, 0.7005)
+    policy = SweepPolicy(initial_accuracy=0.25)
+    csv = {}
+    for threads in (1, 2):
+        levels = []
+
+        def solver(triangle, target, max_level):
+            spectrum = gap_with_error(triangle, target, max_level=max_level)
+            levels.append(spectrum.levels)
+            return spectrum
+
+        result = run_sweep(window, policy=policy, solver=solver, threads=threads)
+        assert result.reason == "complete"
+        assert (8, 9) in levels
+        csv[threads] = cells_to_csv(result.cells)
+    assert csv[2] == csv[1]

@@ -8,6 +8,8 @@ with ``.stiffness``) and ``smallest_eigenpairs`` by attribute lookup.  The
 sweep workloads call ``run_sweep`` with a solver hook and audit its cells.
 """
 
+import pytest
+
 from trigap import eigensolver
 from trigap.geometry import Triangle
 from trigap.sweep import SweepPolicy, SweepWindow, coverage_audit, run_sweep
@@ -15,7 +17,13 @@ from trigap.sweep import SweepPolicy, SweepWindow, coverage_audit, run_sweep
 LAYERS = ("solve_triangle", "build_mesh", "assemble", "smallest_eigenpairs")
 
 
-def test_every_level_passes_through_the_traced_attributes(monkeypatch):
+@pytest.mark.parametrize(
+    "target, max_level",
+    # the second ladder reaches level 9, which multigrid LOBPCG solves
+    [(0.5, None), (1e-12, 9)],
+    ids=["default-cap", "multigrid-level-9"],
+)
+def test_every_level_passes_through_the_traced_attributes(target, max_level, monkeypatch):
     calls = {name: [] for name in LAYERS}
     for name in LAYERS:
         original = getattr(eigensolver, name)
@@ -27,10 +35,12 @@ def test_every_level_passes_through_the_traced_attributes(monkeypatch):
 
         monkeypatch.setattr(eigensolver, name, counted)
 
-    spectrum = eigensolver.gap_with_error(Triangle(0.5, 0.6), 0.5)
+    spectrum = eigensolver.gap_with_error(Triangle(0.5, 0.6), target, max_level=max_level)
 
     levels = list(range(4, spectrum.levels[1] + 1))
     assert len(levels) >= 2
+    if max_level is not None:
+        assert levels[-1] == max_level
     assert [args[1] for args, _ in calls["solve_triangle"]] == levels
     assert [mesh.level for _, mesh in calls["build_mesh"]] == levels
     unknowns = [(2**L - 1) * (2**L - 2) // 2 for L in levels]
