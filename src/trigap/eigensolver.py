@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -61,20 +62,13 @@ RESIDUAL_TOL = 1e-10
 MAX_ITERATIONS = 10000
 
 #: Finest level solved by shifted inverse iteration on every shape (32,385
-#: unknowns), and the coarsest level of the multigrid hierarchy above it.
-#: Measured on 2 vCPUs: at apex (0.5, 0.8647) multigrid LOBPCG took 1.1 s
-#: at level 9 against 2.2 s direct and 4.0 s at level 10 against 7.7 s, but
-#: at level 8 (over a level-7 factor) 0.32-0.44 s against 0.38-0.47 s
-#: direct, here and at (0.52, 0.41): no gain below level 9.
+#: unknowns): at apex (0.5, 0.8647) on 2 vCPUs multigrid LOBPCG gained nothing
+#: at level 8, but took 1.1 s against 2.2 s at level 9, 4.0 s against 7.7 s at 10.
 DIRECT_MAX_LEVEL = 8
 
 #: Smallest angle, in degrees, from which levels above DIRECT_MAX_LEVEL use
-#: multigrid LOBPCG, whose Jacobi smoothing weakens as elements flatten.
-#: Measured on 2 vCPUs at level 9, LOBPCG steps against direct iterations
-#: and times: 27 deg 12 against 9, 1.8 s against 2.5 s; 25 deg 13-14
-#: against 9, 2.2-2.3 s on both paths; 17.5 deg 16 against 10, 2.8 s
-#: against 2.7 s.  At level 10, 30 deg took 8.5 s against 10.6 s and 25 deg
-#: 9.5-10.2 s against 9.2-10.0 s.
+#: multigrid LOBPCG, whose Jacobi smoothing weakens as elements flatten: below
+#: it LOBPCG takes no less time than the direct path (ROADMAP.md has the table).
 MULTIGRID_MIN_ANGLE = 27.0
 
 #: Damped Jacobi smoothing of the V-cycle: weight and sweeps on each side.
@@ -258,24 +252,34 @@ def assemble(mesh: Mesh) -> AssembledSystem:
         (1, -1, k_e3, m_edge),
         (1, 0, k_e1, m_edge),
     )
+    # one stencil entry at a time, so no temporary is wider than a column
     ii, jj = _interior_nodes(n)
-    di, dj, k_vals, m_vals = (np.array(col) for col in zip(*stencil))
-    ni, nj = ii[:, None] + di, jj[:, None] + dj
-    present = (ni >= 1) & (nj >= 1) & (ni + nj <= n - 1)
-    ni, nj = ni[present], nj[present]
-    indices = (_interior_offset(ni, n) + nj - 1).astype(np.int32)
-    indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1)))).astype(np.int32)
+    present = [(ii + di >= 1) & (jj + dj >= 1) & (ii + jj + di + dj < n) for di, dj, *_ in stencil]
+    indptr = np.concatenate(([0], np.cumsum(np.sum(present, axis=0)))).astype(np.int32)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    k_data, m_data = np.empty(indptr[-1]), np.empty(indptr[-1])
+    slot = indptr[:-1].copy()
+    for (di, dj, k_val, m_val), here in zip(stencil, present):
+        at = slot[here]
+        indices[at] = _interior_offset(ii[here] + di, n) + jj[here] + dj - 1
+        k_data[at], m_data[at] = k_val, m_val
+        slot += here
     shape = (ii.size, ii.size)
-    stiffness = csr_matrix(
-        (np.broadcast_to(k_vals, present.shape)[present], indices, indptr), shape=shape
+    return AssembledSystem(
+        stiffness=csr_matrix((k_data, indices, indptr), shape=shape),
+        mass=csr_matrix((m_data, indices, indptr), shape=shape),
     )
-    mass = csr_matrix(
-        (np.broadcast_to(m_vals, present.shape)[present], indices, indptr), shape=shape
-    )
-    return AssembledSystem(stiffness=stiffness, mass=mass)
 
 
+@lru_cache(maxsize=None)
 def _prolongation(level: int) -> csr_matrix:
+    """``_interpolation(level)``, built once per process and shared, read-only,
+    by every solve and thread.  The kept copy is made once the build's
+    temporaries are freed, so it does not hold the heap above them."""
+    return _interpolation(level).copy()
+
+
+def _interpolation(level: int) -> csr_matrix:
     """P1 interpolation of interior-node vectors from ``level`` to ``level + 1``.
 
     Coarse node (i, j) becomes fine node (2i, 2j); every other fine node is
@@ -370,13 +374,12 @@ def _factor(op: csr_matrix):
 
 
 def _start_block(start: np.ndarray | None, n: int, width: int) -> np.ndarray:
-    """The first ``width`` columns of ``start``, filled up with seeded noise."""
-    rng = np.random.default_rng(0)
+    """The first ``width`` columns of ``start`` (a view), filled up with seeded noise."""
     used = 0 if start is None else min(start.shape[1], width)
-    v = rng.standard_normal((n, width - used))
-    if used:
-        v = np.hstack([start[:, :used], v])
-    return v
+    if used == width:
+        return start[:, :width]
+    v = np.random.default_rng(0).standard_normal((n, width - used))
+    return np.hstack([start[:, :used], v]) if used else v
 
 
 def _rayleigh_ritz(system: AssembledSystem, w: np.ndarray, k: int):
@@ -392,16 +395,16 @@ def _rayleigh_ritz(system: AssembledSystem, w: np.ndarray, k: int):
     h = 0.5 * (h + h.T)
     theta, s = np.linalg.eigh(h)
     v = w @ s
-    return theta, v, _residuals_met(system, v[:, :k], theta[:k])
+    return theta, v, _residual(system, v[:, :k], theta[:k], k)[2]
 
 
-def _residuals_met(system: AssembledSystem, v: np.ndarray, theta: np.ndarray) -> bool:
-    """Whether every column meets |K v - theta M v| <= RESIDUAL_TOL |K v|."""
-    kv = system.stiffness @ v
-    resid = kv - system.mass @ v * theta
-    return bool(
-        np.all(np.linalg.norm(resid, axis=0) <= RESIDUAL_TOL * np.linalg.norm(kv, axis=0))
-    )
+def _residual(system: AssembledSystem, v: np.ndarray, theta: np.ndarray, k: int):
+    """K v - M v theta, v^T K v, and whether the first k columns meet RESIDUAL_TOL."""
+    resid = system.stiffness @ v
+    vkv = v.T @ resid
+    bound = RESIDUAL_TOL * np.linalg.norm(resid[:, :k], axis=0)
+    resid -= system.mass @ v * theta
+    return resid, vkv, bool(np.all(np.linalg.norm(resid[:, :k], axis=0) <= bound))
 
 
 def _block_inverse_iteration(
@@ -434,71 +437,91 @@ def _v_cycle(grids: list, bottom, r: np.ndarray) -> np.ndarray:
         return bottom.solve(r)
     (a, jacobi, p), coarser = grids[0], grids[1:]
 
+    def residual(x: np.ndarray) -> np.ndarray:
+        out = a @ x
+        return np.subtract(r, out, out=out)
+
     def smooth(x: np.ndarray) -> None:
-        step = a @ x
-        np.subtract(r, step, out=step)
-        step *= jacobi
-        x += step
+        step = residual(x)
+        x += np.multiply(step, jacobi, out=step)
 
     x = jacobi * r
     for _ in range(JACOBI_SWEEPS - 1):
         smooth(x)
-    x += p @ _v_cycle(coarser, bottom, p.T @ (r - a @ x))
+    x += p @ _v_cycle(coarser, bottom, p.T @ residual(x))
     for _ in range(JACOBI_SWEEPS):
         smooth(x)
     return x
 
 
 def _multigrid_lobpcg(
-    system: AssembledSystem,
-    k: int,
-    start: np.ndarray | None,
-    level: int,
+    system: AssembledSystem, k: int, start: np.ndarray | None, level: int
 ) -> EigenPairs:
     """Block LOBPCG (Knyazev 2001) preconditioned by a V-cycle on K.
 
     The coarse operators are Galerkin products P^T K P down to level
-    ``DIRECT_MAX_LEVEL``, which is factorized.  Each step searches the span
-    of the Ritz block, its preconditioned residuals and the previous step's
-    direction; the new directions are M-orthogonalized against the block and
-    orthonormalized by their Gram matrix, dropping near-dependent ones.
+    ``MIN_LEVEL + 1`` (465 unknowns), which is factorized.  Each step
+    searches the span of the Ritz block, its preconditioned residuals and
+    the previous step's direction.  The basis is M-orthonormal only to
+    rounding, so a block that passes is orthonormalized and checked again.
     """
     grids = []
     a = system.stiffness
-    for coarse in range(level - 1, DIRECT_MAX_LEVEL - 1, -1):
+    for coarse in range(level - 1, MIN_LEVEL, -1):
         p = _prolongation(coarse)
         grids.append((a, (JACOBI_WEIGHT / a.diagonal())[:, None], p))
         a = (p.T @ (a @ p)).tocsr()
     bottom = _factor(a)
 
-    kk, mm = system.stiffness, system.mass
-    n = kk.shape[0]
+    n = system.stiffness.shape[0]
     theta, v, _ = _rayleigh_ritz(system, _start_block(start, n, min(k + 3, n)), k)
-    width = v.shape[1]
     direction = v[:, :0]
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        kv, mv = kk @ v, mm @ v
-        y = np.hstack([_v_cycle(grids, bottom, kv - mv * theta), direction])
-        for _ in range(2):
-            y -= v @ (mv.T @ y)
-        gram = y.T @ (mm @ y)
-        scale = 1.0 / np.sqrt(np.diag(gram))
-        mu, u = np.linalg.eigh(gram * np.outer(scale, scale))
-        keep = mu > DEPENDENCE_TOL * mu[-1]
-        y = y @ (scale[:, None] * u[:, keep] / np.sqrt(mu[keep]))
-        ky = kk @ y
-        h = np.block([[v.T @ kv, v.T @ ky], [ky.T @ v, y.T @ ky]])
-        ritz, c = np.linalg.eigh(0.5 * (h + h.T))
-        theta = ritz[:width]
-        direction = y @ c[width:, :width]
-        v = v @ c[:width, :width] + direction
-        # the search basis is M-orthonormal only to rounding: a block that
-        # passes is orthonormalized and checked once more before it is kept
-        if _residuals_met(system, v[:, :k], theta[:k]):
-            theta, v, converged = _rayleigh_ritz(system, v, k)
-            if converged:
-                return EigenPairs(tuple(theta[:k].tolist()), block=v, iterations=iteration)
+    for iteration in range(MAX_ITERATIONS + 1):
+        step = _lobpcg_step(system, grids, bottom, v, theta, direction, k)
+        if step is not None:
+            theta, v, direction = step
+            continue
+        theta, v, converged = _rayleigh_ritz(system, v, k)
+        if converged:
+            return EigenPairs(tuple(theta[:k].tolist()), block=v, iterations=iteration)
     raise _unconverged()
+
+
+def _lobpcg_step(system: AssembledSystem, grids: list, bottom, v, theta, direction, k: int):
+    """The next Ritz values, block and direction (the old direction changes in
+    place), or None when v's first k columns pass; at most six blocks live."""
+    y, vkv, met = _residual(system, v, theta, k)
+    if met:
+        return None
+    y = _v_cycle(grids, bottom, y)
+    y = _m_orthogonal_stack(system.mass, v, y, direction)
+    gram = y.T @ (system.mass @ y)
+    scale = 1.0 / np.sqrt(np.diag(gram))
+    mu, u = np.linalg.eigh(gram * np.outer(scale, scale))
+    keep = mu > DEPENDENCE_TOL * mu[-1]
+    y = y @ (scale[:, None] * u[:, keep] / np.sqrt(mu[keep]))
+    width = v.shape[1]
+    ritz, c = _ritz_coefficients(v, vkv, y, system.stiffness @ y)
+    direction = y @ c[width:, :width]
+    v = v @ c[:width, :width]
+    v += direction
+    return ritz[:width], v, direction
+
+
+def _m_orthogonal_stack(mass: csr_matrix, v: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
+    """The blocks side by side, each M-orthogonalized in place against v."""
+    mv = mass @ v
+    for _ in range(2):
+        for y in blocks:
+            y -= v @ (mv.T @ y)
+    return np.hstack(blocks)
+
+
+def _ritz_coefficients(v: np.ndarray, vkv: np.ndarray, y: np.ndarray, ky: np.ndarray):
+    """Eigenpairs of K projected on the M-orthonormal basis [v, y]."""
+    vky = v.T @ ky
+    h = np.block([[vkv, vky], [vky.T, y.T @ ky]])
+    return np.linalg.eigh(0.5 * (h + h.T))
 
 
 def solve_triangle(
@@ -553,8 +576,7 @@ def gap_with_error(
     verts = _as_vertices(triangle)
     d = diameter(verts)
     thin = 2.0 * abs(_signed_area(verts)) / (d * d) <= THIN_APEX_HEIGHT
-    cap = max_level if max_level is not None else (11 if thin else 10)
-    cap = min(cap, MAX_LEVEL)
+    cap = min(max_level if max_level is not None else (11 if thin else 10), MAX_LEVEL)
 
     history: list[tuple[float, float]] = []
     solves: list[tuple[int, int, int]] = []
@@ -612,7 +634,5 @@ def _rates(history: list[tuple[float, float]]) -> tuple[float, float] | None:
 
 
 def _rates_trusted(rates: tuple[float, float] | None) -> bool:
-    if rates is None:
-        return False
     lo, hi = RATE_WINDOW
-    return all(lo <= r <= hi for r in rates)
+    return rates is not None and all(lo <= r <= hi for r in rates)

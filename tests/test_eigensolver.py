@@ -7,6 +7,7 @@ assembly, and cold-started solves for the warm-started refinement ladder.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,47 @@ def test_stencil_assembly_matches_elementwise_reference(vertices):
     assert mass_total_ref == pytest.approx(area, rel=1e-12)
 
 
+def _all_at_once_assembly(n, values):
+    """CSR data, indices and indptr of the n x 7 broadcast build: all seven
+    stencil neighbours of every interior node at once, masked to the
+    interior, each entry carrying its offset's value from ``values``."""
+    offsets = np.array([(-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0)])
+    i_of = np.repeat(np.arange(1, n - 1), np.arange(n - 2, 0, -1))
+
+    def number(i, j):
+        return (i - 1) * (n - 1) - (i - 1) * i // 2 + j - 1
+
+    j_of = np.arange(i_of.size) - number(i_of, 1) + 1
+    ni, nj = i_of[:, None] + offsets[:, 0], j_of[:, None] + offsets[:, 1]
+    present = (ni >= 1) & (nj >= 1) & (ni + nj <= n - 1)
+    indices = number(ni[present], nj[present]).astype(np.int32)
+    indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1)))).astype(np.int32)
+    data = [np.broadcast_to(v, present.shape)[present] for v in values]
+    return data, indices, indptr
+
+
+@pytest.mark.parametrize("level", range(3, 10))
+def test_assembly_bytes_match_the_all_at_once_build(level):
+    # the stencil is built one offset at a time; its arrays must not differ
+    # by a bit from the broadcast build, which held n x 7 temporaries
+    system = assemble(build_mesh(((0.0, 0.0), (1.0, 0.0), (0.3, 0.7)), level))
+    n = 2**level
+    k, m = system.stiffness, system.mass
+    # node (2, 2) is interior row n - 1 and has all seven neighbours
+    row = slice(k.indptr[n - 1], k.indptr[n])
+    (k_data, m_data), indices, indptr = _all_at_once_assembly(n, (k.data[row], m.data[row]))
+    for got, want in [
+        (k.data, k_data),
+        (m.data, m_data),
+        (k.indices, indices),
+        (k.indptr, indptr),
+        (m.indices, indices),
+        (m.indptr, indptr),
+    ]:
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_prolongation_is_the_nested_space_embedding():
     # P1 spaces on nested lattices: K_coarse = P^T K_fine P and likewise M
     tri = ((0.0, 0.0), (1.0, 0.0), (0.3, 0.7))
@@ -513,3 +555,40 @@ def test_error_bounds_enclose_closed_form_spectra_on_the_multigrid_levels(name, 
         assert abs(lam - ref) <= err
     exact_xi = spectrum.diameter**2 * (exact[1] - exact[0])
     assert abs(spectrum.xi - exact_xi) <= spectrum.xi_error
+
+
+def test_each_prolongation_is_built_once_over_a_level_9_ladder():
+    # the ladder interpolates from levels 4..8; the level-9 V-cycle reuses
+    # those of levels 5..8 for its Galerkin hierarchy
+    eigensolver._prolongation.cache_clear()
+    spectrum = gap_with_error(Triangle(0.5, 0.8647), 1e-12, max_level=9)
+    assert spectrum.levels == (8, 9)
+    info = eigensolver._prolongation.cache_info()
+    assert info.misses == 5
+    assert info.hits == 4
+
+
+def test_multigrid_path_factorizes_only_the_bottom_level(monkeypatch):
+    system, start, shift = _level_9_system((0.5, 0.8647))
+    shapes = []
+    factor = eigensolver._factor
+    monkeypatch.setattr(eigensolver, "_factor", lambda op: shapes.append(op.shape) or factor(op))
+    smallest_eigenpairs(system, k=2, shift=shift, start=start)
+    n = 2 ** (eigensolver.MIN_LEVEL + 1)
+    assert shapes == [((n - 1) * (n - 2) // 2,) * 2]
+
+
+def test_multigrid_working_set_stays_within_eight_blocks():
+    # a block is one n x (k+3) float64 array; a LOBPCG step needs six of
+    # them at once and the coarse hierarchy about one more, while keeping
+    # K v, M v and the search block across a step takes about thirteen
+    system, start, _ = _level_9_system((0.5, 0.8647))
+    block = system.stiffness.shape[0] * 5 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        smallest_eigenpairs(system, k=2, start=start)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * block
