@@ -62,6 +62,7 @@ from .sweep import (
     run_sweep,
     _check_grid_request,
     _check_run,
+    _check_spacing,
 )
 from .tables import verify_integral_tables, _check_quad_degree
 
@@ -292,8 +293,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         max_level=args.max_level,
     )
     _check_run(args.threads, args.max_rows, args.max_cells)
-    if not args.audit_spacing > 0.0:
-        raise ValueError("--audit-spacing must be positive")
+    _check_spacing(args.audit_spacing)
 
     # The CSV is the sweep's only record: on --resume the position is
     # replayed from its cells, and the cells of an unfinished row are dropped.

@@ -58,17 +58,17 @@ MIN_LEVEL = 4
 #: Relative residual |K v - lambda M v| / |K v| every returned eigenpair meets.
 RESIDUAL_TOL = 1e-10
 
-#: Iteration cap of the block inverse iteration and of LOBPCG.
+#: Iteration cap of LOBPCG.
 MAX_ITERATIONS = 10000
 
-#: Finest level solved by shifted inverse iteration on every shape (32,385
-#: unknowns): at apex (0.5, 0.8647) on 2 vCPUs multigrid LOBPCG gained nothing
-#: at level 8, but took 1.1 s against 2.2 s at level 9, 4.0 s against 7.7 s at 10.
+#: Finest level preconditioned by the factor of K - shift*M on every shape
+#: (32,385 unknowns): at apex (0.5, 0.8647) on 2 vCPUs the V-cycle took 1.0 s
+#: against 1.6-1.9 s at level 9, 4.0 s against 7.4-8.2 s at 10 (ROADMAP item 10).
 DIRECT_MAX_LEVEL = 8
 
-#: Smallest angle, in degrees, from which levels above DIRECT_MAX_LEVEL use
-#: multigrid LOBPCG, whose Jacobi smoothing weakens as elements flatten: below
-#: it LOBPCG takes no less time than the direct path (ROADMAP.md has the table).
+#: Smallest angle, in degrees, from which levels above DIRECT_MAX_LEVEL use the
+#: V-cycle, whose Jacobi smoothing weakens as elements flatten: below it the
+#: V-cycle is no faster than the factor (ROADMAP.md has the table).
 MULTIGRID_MIN_ANGLE = 27.0
 
 #: Damped Jacobi smoothing of the V-cycle: weight and sweeps on each side.
@@ -81,12 +81,6 @@ DEPENDENCE_TOL = 1e-12
 
 class ConvergenceError(RuntimeError):
     """Eigensolver failed to meet its residual tolerance within the cap."""
-
-
-def _unconverged() -> ConvergenceError:
-    return ConvergenceError(
-        f"residual tolerance {RESIDUAL_TOL} not reached in {MAX_ITERATIONS} iterations"
-    )
 
 
 @dataclass(frozen=True)
@@ -175,8 +169,8 @@ class EigenPairs:
     ``block`` holds every converged Ritz vector of the iteration as columns,
     M-orthonormal, the k eigenvectors first (``block[:, :k]``); it is the
     start for the next level through ``prolongate``, and its row count is
-    the level's number of unknowns.  ``iterations`` counts the
-    inverse-iteration steps taken.
+    the level's number of unknowns.  ``iterations`` counts the LOBPCG
+    steps taken, on every level alike.
     """
 
     values: tuple[float, ...]
@@ -314,39 +308,39 @@ def smallest_eigenpairs(
     shift: float = 0.0,
     start: np.ndarray | None = None,
 ) -> EigenPairs:
-    """k smallest eigenpairs of K v = lambda M v, from a block of k+3 vectors.
+    """k smallest eigenpairs of K v = lambda M v, by block LOBPCG on k+3 vectors.
 
     Up to level ``DIRECT_MAX_LEVEL``, and on any triangle whose smallest
-    angle is below ``MULTIGRID_MIN_ANGLE``, the matrix K - shift*M is
-    factorized once and the block runs shifted inverse iteration.  Finer
-    levels of better-shaped triangles run LOBPCG preconditioned by a
-    multigrid V-cycle, which needs no factor of the level itself.  Either
-    way the block is M-orthonormalized and reduced by Rayleigh-Ritz each
-    step, and vectors are returned M-orthonormal.  The iteration starts from
+    angle is below ``MULTIGRID_MIN_ANGLE``, the preconditioner is the factor
+    of K - shift*M.  Finer levels of better-shaped triangles use a multigrid
+    V-cycle on K, which needs no factor of the level itself and ignores the
+    shift.  Vectors are returned M-orthonormal.  The iteration starts from
     the columns of ``start`` (at most k+3 are used), filled up with seeded
     noise, so the result is a deterministic function of the system and the
     start.  Raises ConvergenceError if the residual tolerance is not met
     within the iteration cap; never returns a silently unconverged answer.
 
     A shift strictly below the first eigenvalue keeps the factorization
-    positive definite and sharpens the contraction when the low spectrum is
-    clustered (thin triangles).  Any breakdown under a nonzero shift falls
-    back to the unshifted iteration.  The multigrid path ignores the shift.
+    positive definite and sharpens the preconditioner when the low spectrum
+    is clustered (thin triangles).  Any breakdown under a nonzero shift
+    falls back to the factor of K itself.
     """
     n = system.stiffness.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if start is not None and start.shape[0] != n:
         raise ValueError(f"start block has {start.shape[0]} rows, system has {n}")
-    level = _lattice_level(n)
-    if level > DIRECT_MAX_LEVEL and _smallest_angle(system.stiffness) >= MULTIGRID_MIN_ANGLE:
-        return _multigrid_lobpcg(system, k, start, level)
+    level = bottom = _lattice_level(n)
+    kk = system.stiffness
+    if level > DIRECT_MAX_LEVEL and _smallest_angle(kk) >= MULTIGRID_MIN_ANGLE:
+        bottom, shift = MIN_LEVEL + 1, 0.0
     try:
-        return _block_inverse_iteration(system, k, shift, start)
+        op = kk if shift == 0.0 else (kk - shift * system.mass).tocsr()
+        return _lobpcg(system, k, start, *_hierarchy(op, level, bottom))
     except (ConvergenceError, np.linalg.LinAlgError, RuntimeError):
         if shift == 0.0:
             raise
-        return _block_inverse_iteration(system, k, 0.0, start)
+        return _lobpcg(system, k, start, *_hierarchy(kk, level, bottom))
 
 
 def _lattice_level(unknowns: int) -> int:
@@ -407,31 +401,14 @@ def _residual(system: AssembledSystem, v: np.ndarray, theta: np.ndarray, k: int)
     return resid, vkv, bool(np.all(np.linalg.norm(resid[:, :k], axis=0) <= bound))
 
 
-def _block_inverse_iteration(
-    system: AssembledSystem,
-    k: int,
-    shift: float,
-    start: np.ndarray | None,
-) -> EigenPairs:
-    n = system.stiffness.shape[0]
-    kk = system.stiffness
-    op = kk if shift == 0.0 else (kk - shift * system.mass).tocsr()
-    lu = _factor(op)
-    v = _start_block(start, n, min(k + 3, n))
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        theta, v, converged = _rayleigh_ritz(system, lu.solve(system.mass @ v), k)
-        if converged:
-            return EigenPairs(tuple(theta[:k].tolist()), block=v, iterations=iteration)
-    raise _unconverged()
-
-
 def _v_cycle(grids: list, bottom, r: np.ndarray) -> np.ndarray:
-    """One multigrid V-cycle for K x = r, from a zero start.
+    """One multigrid V-cycle for A x = r, from a zero start.
 
     ``grids`` runs from the finest level down, each entry the level's
     operator, its damped inverse diagonal and the prolongation from the
-    level below; ``bottom`` is the factor of the coarsest operator.  Jacobi
-    sweeps before and after the coarse correction keep the cycle symmetric.
+    level below; ``bottom`` is the factor of the coarsest operator, which
+    is A itself when there are no grids.  Jacobi sweeps before and after
+    the coarse correction keep the cycle symmetric.
     """
     if not grids:
         return bottom.solve(r)
@@ -454,25 +431,25 @@ def _v_cycle(grids: list, bottom, r: np.ndarray) -> np.ndarray:
     return x
 
 
-def _multigrid_lobpcg(
-    system: AssembledSystem, k: int, start: np.ndarray | None, level: int
-) -> EigenPairs:
-    """Block LOBPCG (Knyazev 2001) preconditioned by a V-cycle on K.
-
-    The coarse operators are Galerkin products P^T K P down to level
-    ``MIN_LEVEL + 1`` (465 unknowns), which is factorized.  Each step
-    searches the span of the Ritz block, its preconditioned residuals and
-    the previous step's direction.  The basis is M-orthonormal only to
-    rounding, so a block that passes is orthonormalized and checked again.
-    """
+def _hierarchy(a: csr_matrix, level: int, bottom: int):
+    """``_v_cycle``'s grids for operator ``a`` from ``level`` down to ``bottom``,
+    with Galerkin coarse operators P^T A P, and the factor of the bottom one."""
     grids = []
-    a = system.stiffness
-    for coarse in range(level - 1, MIN_LEVEL, -1):
+    for coarse in range(level - 1, bottom - 1, -1):
         p = _prolongation(coarse)
         grids.append((a, (JACOBI_WEIGHT / a.diagonal())[:, None], p))
         a = (p.T @ (a @ p)).tocsr()
-    bottom = _factor(a)
+    return grids, _factor(a)
 
+
+def _lobpcg(system: AssembledSystem, k: int, start, grids: list, bottom) -> EigenPairs:
+    """Block LOBPCG (Knyazev 2001) preconditioned by the V-cycle of ``grids``.
+
+    Each step searches the span of the Ritz block, its preconditioned
+    residuals and the previous step's direction.  The basis is M-orthonormal
+    only to rounding, so a block that passes is orthonormalized and checked
+    again.
+    """
     n = system.stiffness.shape[0]
     theta, v, _ = _rayleigh_ritz(system, _start_block(start, n, min(k + 3, n)), k)
     direction = v[:, :0]
@@ -484,7 +461,9 @@ def _multigrid_lobpcg(
         theta, v, converged = _rayleigh_ritz(system, v, k)
         if converged:
             return EigenPairs(tuple(theta[:k].tolist()), block=v, iterations=iteration)
-    raise _unconverged()
+    raise ConvergenceError(
+        f"residual tolerance {RESIDUAL_TOL} not reached in {MAX_ITERATIONS} iterations"
+    )
 
 
 def _lobpcg_step(system: AssembledSystem, grids: list, bottom, v, theta, direction, k: int):

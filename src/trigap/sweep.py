@@ -252,7 +252,7 @@ def continuity_lower_bound(xi: float, A_sum: float, y: float, t: float) -> float
     """Guaranteed gap at any apex within distance t of (x, y)."""
     if not y > 0.0:
         raise ValueError("apex height y must be positive")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("perturbation distance t must be non-negative")
     return xi - (CONTINUITY_FACTOR * t / (y * y)) * A_sum
 
@@ -655,6 +655,12 @@ class CoverageReport:
         return self.uncovered_count == 0
 
 
+def _check_spacing(spacing: float) -> None:
+    """Reject an audit lattice spacing that is not finite and positive (NaN too)."""
+    if not 0.0 < spacing < math.inf:
+        raise ValueError(f"audit spacing must be finite and positive, got {spacing}")
+
+
 def coverage_audit(
     cells: Sequence[CertifiedCell],
     window: SweepWindow,
@@ -669,8 +675,7 @@ def coverage_audit(
     in the thin strip y < 0.005, or within the exclusion ball, or outside the
     moduli region.  Everything else is reported uncovered.
     """
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
+    _check_spacing(spacing)
     nx = int(math.floor((window.x1 - window.x0) / spacing + 1e-9)) + 1
     ny = int(math.floor((window.y1 - window.y0) / spacing + 1e-9)) + 1
     xs = window.x0 + spacing * np.arange(nx)

@@ -316,6 +316,8 @@ def test_sweep_rejects_bad_threads(capsys, tmp_path):
         ("--exclusion-radius", "-1e-4"),
         ("--accuracy", "-1e-3"),
         ("--exclusion-radius", "nan"),
+        ("--audit-spacing", "inf"),
+        ("--audit-spacing", "nan"),
     ],
     ids=[
         "threads",
@@ -328,6 +330,8 @@ def test_sweep_rejects_bad_threads(capsys, tmp_path):
         "exponent_radius",
         "exponent_accuracy",
         "nan_radius",
+        "inf_spacing",
+        "nan_spacing",
     ],
 )
 def test_sweep_usage_error_keeps_existing_csv(capsys, tmp_path, bad, resume):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import coo_matrix
+from scipy.sparse.linalg import eigsh
 
 from trigap import eigensolver
 from trigap.eigensolver import (
@@ -475,55 +476,80 @@ def test_error_bounds_enclose_closed_form_spectra(name, angle, shift, scale, ord
         assert abs(spectrum.xi - exact_xi) <= spectrum.xi_error
 
 
-def _level_9_system(apex):
-    """Level 9 of a triangle, the start its ladder gives it (the level-8
-    Ritz block, prolongated) and a shift below its first eigenvalue."""
+def _warm_system(apex, level=9):
+    """One level of a triangle, the start its ladder gives it (the Ritz
+    block of the level below, prolongated) and a shift below its first
+    eigenvalue."""
     tri = Triangle(*apex)
-    below = smallest_eigenpairs(assemble(build_mesh(tri, 8)), k=2)
+    below = smallest_eigenpairs(assemble(build_mesh(tri, level - 1)), k=2)
     shift = 0.99 * below.values[0]
-    return assemble(build_mesh(tri, 9)), prolongate(below.block, 8), shift
+    return assemble(build_mesh(tri, level)), prolongate(below.block, level - 1), shift
+
+
+def _shift_invert_reference(system, shift):
+    """The two smallest eigenvalues by ARPACK in shift-invert mode."""
+    values = eigsh(system.stiffness, k=2, M=system.mass, sigma=shift, return_eigenvectors=False)
+    return tuple(sorted(values))
 
 
 def _record_multigrid_levels(monkeypatch):
-    """The levels at which ``_multigrid_lobpcg`` is entered, as it runs."""
-    entered = []
-    lobpcg = eigensolver._multigrid_lobpcg
-    monkeypatch.setattr(
-        eigensolver,
-        "_multigrid_lobpcg",
-        lambda *args: entered.append(args[3]) or lobpcg(*args),
-    )
-    return entered
+    """The levels at which a non-empty V-cycle hierarchy is built, as it runs."""
+    built = []
+    hierarchy = eigensolver._hierarchy
+
+    def recording(a, level, bottom):
+        grids, factor = hierarchy(a, level, bottom)
+        if grids:
+            built.append(level)
+        return grids, factor
+
+    monkeypatch.setattr(eigensolver, "_hierarchy", recording)
+    return built
 
 
 @pytest.mark.parametrize("apex", [(0.5, 0.8647), (0.3, 0.7)])
 def test_multigrid_path_matches_direct_at_level_9(apex, monkeypatch):
-    system, start, shift = _level_9_system(apex)
+    system, start, shift = _warm_system(apex)
     entered = _record_multigrid_levels(monkeypatch)
     pairs = smallest_eigenpairs(system, k=2, shift=shift, start=start)
     assert entered == [9]
-    direct = eigensolver._block_inverse_iteration(system, 2, shift, start)
-    assert pairs.values == pytest.approx(direct.values, rel=1e-10, abs=0.0)
+    assert pairs.values == pytest.approx(_shift_invert_reference(system, shift), rel=1e-10, abs=0.0)
     block = pairs.block
-    assert block.shape == direct.block.shape
+    assert block.shape == start.shape
     gram = block.T @ (system.mass @ block)
     assert np.allclose(gram, np.eye(block.shape[1]), rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "apex, level",
+    # the finest level of every shape, and level 9 at a smallest angle of 11.3
+    # degrees, where Jacobi smoothing would take more steps than the factor
+    [((0.5, 0.8647), 8), ((0.5, 0.1), 9)],
+    ids=["level-8", "flat-level-9"],
+)
+def test_factor_levels_precondition_with_the_full_shifted_factor(apex, level, monkeypatch):
+    system, start, shift = _warm_system(apex, level)
+    factored = []
+    factor = eigensolver._factor
+    monkeypatch.setattr(eigensolver, "_factor", lambda op: factored.append(op) or factor(op))
+    v_cycle = eigensolver._v_cycle
+
+    def unsmoothed(grids, bottom, r):
+        assert grids == [], "V-cycle smoothing on a factor level"
+        return v_cycle(grids, bottom, r)
+
+    monkeypatch.setattr(eigensolver, "_v_cycle", unsmoothed)
+    smallest_eigenpairs(system, k=2, shift=shift, start=start)
+    (op,) = factored
+    assert abs(op - (system.stiffness - shift * system.mass)).max() == 0.0
+
+
 def test_poorly_shaped_triangle_keeps_the_direct_path(monkeypatch):
-    # smallest angle 11.3 degrees: Jacobi smoothing would need about twice
-    # the direct iterations, so level 9 stays on inverse iteration
-    system, start, shift = _level_9_system((0.5, 0.1))
-
-    def no_v_cycle(*args):
-        raise AssertionError("V-cycle entered below the angle threshold")
-
-    monkeypatch.setattr(eigensolver, "_v_cycle", no_v_cycle)
+    system, start, shift = _warm_system((0.5, 0.1))
+    entered = _record_multigrid_levels(monkeypatch)
     pairs = smallest_eigenpairs(system, k=2, shift=shift, start=start)
-    direct = eigensolver._block_inverse_iteration(system, 2, shift, start)
-    assert pairs.values == direct.values
-    assert np.array_equal(pairs.block, direct.block)
-    assert pairs.iterations == direct.iterations
+    assert entered == []
+    assert pairs.values == pytest.approx(_shift_invert_reference(system, shift), rel=1e-10, abs=0.0)
 
 
 def test_smallest_angle_is_read_from_the_stiffness():
@@ -540,7 +566,7 @@ def test_smallest_angle_is_read_from_the_stiffness():
 @pytest.mark.parametrize("name", sorted(_CLOSED_FORM))
 def test_error_bounds_enclose_closed_form_spectra_on_the_multigrid_levels(name, monkeypatch):
     # cap 9: levels (8, 9); every closed-form shape has its smallest angle
-    # at or above 30 degrees, so level 9 is solved by multigrid LOBPCG
+    # at or above 30 degrees, so level 9 is preconditioned by the V-cycle
     apex, exact = _CLOSED_FORM[name]
     c, s = math.cos(0.4), math.sin(0.4)
     vertices = 1.5 * np.array(Triangle(*apex).vertices)[[1, 2, 0]] @ np.array(
@@ -569,7 +595,7 @@ def test_each_prolongation_is_built_once_over_a_level_9_ladder():
 
 
 def test_multigrid_path_factorizes_only_the_bottom_level(monkeypatch):
-    system, start, shift = _level_9_system((0.5, 0.8647))
+    system, start, shift = _warm_system((0.5, 0.8647))
     shapes = []
     factor = eigensolver._factor
     monkeypatch.setattr(eigensolver, "_factor", lambda op: shapes.append(op.shape) or factor(op))
@@ -582,7 +608,7 @@ def test_multigrid_working_set_stays_within_eight_blocks():
     # a block is one n x (k+3) float64 array; a LOBPCG step needs six of
     # them at once and the coarse hierarchy about one more, while keeping
     # K v, M v and the search block across a step takes about thirteen
-    system, start, _ = _level_9_system((0.5, 0.8647))
+    system, start, _ = _warm_system((0.5, 0.8647))
     block = system.stiffness.shape[0] * 5 * 8
     tracemalloc.start()
     try:

@@ -74,6 +74,12 @@ def test_continuity_bound_formula():
     assert continuity_lower_bound(80.0, 200.0, 0.5, 0.0) == 80.0
 
 
+@pytest.mark.parametrize("t", [-1e-3, math.nan])
+def test_continuity_bound_rejects_a_negative_or_nan_distance(t):
+    with pytest.raises(ValueError, match="non-negative"):
+        continuity_lower_bound(80.0, 200.0, 0.5, t)
+
+
 def test_certification_radius_inverts_continuity_bound():
     xi, a_sum, y = 90.0, 350.0, 0.61
     t = certification_radius(xi, a_sum, y)
@@ -742,8 +748,10 @@ def test_audit_detects_hole():
 
 
 def test_audit_rejects_bad_spacing():
-    with pytest.raises(ValueError):
-        coverage_audit([], WINDOW, spacing=0.0)
+    # an infinite spacing would audit the single point (nan, nan) and pass
+    for spacing in (0.0, -1e-4, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            coverage_audit([], WINDOW, spacing=spacing)
 
 
 @pytest.mark.parametrize("radius", [1e-4, 1e-3])
