@@ -61,14 +61,10 @@ RESIDUAL_TOL = 1e-10
 #: Iteration cap of LOBPCG.
 MAX_ITERATIONS = 10000
 
-#: Finest level preconditioned by the factor of K - shift*M on every shape
-#: (32,385 unknowns): at apex (0.5, 0.8647) on 2 vCPUs the V-cycle took 1.0 s
-#: against 1.6-1.9 s at level 9, 4.0 s against 7.4-8.2 s at 10 (ROADMAP item 10).
-DIRECT_MAX_LEVEL = 8
-
-#: Smallest angle, in degrees, from which levels above DIRECT_MAX_LEVEL use the
-#: V-cycle, whose Jacobi smoothing weakens as elements flatten: below it the
-#: V-cycle is no faster than the factor (ROADMAP.md has the table).
+#: Smallest angle, in degrees, from which a triangle is preconditioned by the
+#: V-cycle on K at every level, and below which by the factor of K - shift*M:
+#: the V-cycle's Jacobi smoothing weakens as elements flatten, and below this
+#: angle it is no faster than the factor (ROADMAP.md has the tables).
 MULTIGRID_MIN_ANGLE = 27.0
 
 #: Damped Jacobi smoothing of the V-cycle: weight and sweeps on each side.
@@ -310,20 +306,21 @@ def smallest_eigenpairs(
 ) -> EigenPairs:
     """k smallest eigenpairs of K v = lambda M v, by block LOBPCG on k+3 vectors.
 
-    Up to level ``DIRECT_MAX_LEVEL``, and on any triangle whose smallest
-    angle is below ``MULTIGRID_MIN_ANGLE``, the preconditioner is the factor
-    of K - shift*M.  Finer levels of better-shaped triangles use a multigrid
-    V-cycle on K, which needs no factor of the level itself and ignores the
-    shift.  Vectors are returned M-orthonormal.  The iteration starts from
-    the columns of ``start`` (at most k+3 are used), filled up with seeded
+    The preconditioner follows from the triangle's shape alone.  A triangle
+    whose smallest angle is at least ``MULTIGRID_MIN_ANGLE`` uses a multigrid
+    V-cycle on K down to level MIN_LEVEL + 1 at every level; it ignores the
+    shift, and at or below that level it is one solve with the factor of K.
+    A flatter triangle uses the factor of K - shift*M at every level.
+    Vectors are returned M-orthonormal.  The iteration starts from the
+    columns of ``start`` (at most k+3 are used), filled up with seeded
     noise, so the result is a deterministic function of the system and the
     start.  Raises ConvergenceError if the residual tolerance is not met
     within the iteration cap; never returns a silently unconverged answer.
 
     A shift strictly below the first eigenvalue keeps the factorization
-    positive definite and sharpens the preconditioner when the low spectrum
-    is clustered (thin triangles).  Any breakdown under a nonzero shift
-    falls back to the factor of K itself.
+    positive definite and sharpens the factor when the low spectrum is
+    clustered (flat triangles).  Any breakdown under a nonzero shift falls
+    back to the factor of K itself.
     """
     n = system.stiffness.shape[0]
     if not 1 <= k <= n:
@@ -332,7 +329,7 @@ def smallest_eigenpairs(
         raise ValueError(f"start block has {start.shape[0]} rows, system has {n}")
     level = bottom = _lattice_level(n)
     kk = system.stiffness
-    if level > DIRECT_MAX_LEVEL and _smallest_angle(kk) >= MULTIGRID_MIN_ANGLE:
+    if _smallest_angle(kk) >= MULTIGRID_MIN_ANGLE:
         bottom, shift = MIN_LEVEL + 1, 0.0
     try:
         op = kk if shift == 0.0 else (kk - shift * system.mass).tocsr()

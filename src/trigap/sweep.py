@@ -110,7 +110,8 @@ class SweepFailure(Exception):
 
     reason is one of "margin" (gap not certifiably above the threshold),
     "accuracy" (the digit rule could not be met at any allowed solver
-    accuracy), or "radius" (no positive truncatable radius).
+    accuracy), "radius" (no positive truncatable radius), or "solver" (the
+    eigensolver raised ConvergenceError).
     """
 
     def __init__(
@@ -311,7 +312,10 @@ def _certify_cell(
     """Solve, derive the radius, and tighten accuracy until the digit rule holds."""
     target = policy.initial_accuracy
     for _ in range(policy.max_accuracy_rounds + 1):
-        spectrum = solver(Triangle(x, y), target, policy.max_level)
+        try:
+            spectrum = solver(Triangle(x, y), target, policy.max_level)
+        except ConvergenceError as exc:
+            raise SweepFailure("solver", str(exc), j=j, i=i, x=x, y=y) from exc
         err = spectrum.xi_error
         lam1, lam2 = spectrum.eigenvalues
         xi = spectrum.xi
@@ -480,11 +484,11 @@ def run_sweep(
     run it resumes, and stop it at the next row boundary ("budget" result);
     rows already started past the stop are cancelled or discarded.  Budgets
     must be non-negative; 0 stops before the first row.  A cell whose gap
-    margin cannot be certified, or whose digit-accuracy rule cannot be met,
-    ends the run with reason "failed" and the offending cell recorded; the
-    certified cells of its row still go to ``sink``, but the state stays at
-    the start of that row.  A failure in a lower row is the one reported,
-    whatever rows above it were started.
+    margin cannot be certified, whose digit-accuracy rule cannot be met, or
+    whose solve does not converge ends the run with reason "failed" and the
+    offending cell recorded; the certified cells of its row still go to
+    ``sink``, but the state stays at the start of that row.  A failure in
+    a lower row is the one reported, whatever rows above it were started.
     """
     policy = policy if policy is not None else SweepPolicy()
     solver = solver if solver is not None else gap_with_error

@@ -273,6 +273,38 @@ def test_sweep_resume_after_failed_row_writes_it_once(capsys, tmp_path, monkeypa
     assert full.read_bytes() == part.read_bytes()
 
 
+def test_sweep_solver_convergence_error_names_the_cell(capsys, tmp_path, monkeypatch):
+    full = tmp_path / "full.csv"
+    part = tmp_path / "part.csv"
+    code, _, _ = run(capsys, "sweep", *SWEEP_ARGS, "--out", str(full), "--no-audit")
+    assert code == EXIT_OK
+
+    solves = []
+    solve = sweep.gap_with_error
+
+    def unconverged(triangle, target, max_level):
+        solves.append(target)
+        if len(solves) == 3:
+            raise ConvergenceError("stub residual tolerance not reached")
+        return solve(triangle, target, max_level)
+
+    with monkeypatch.context() as m:
+        m.setattr("trigap.sweep.gap_with_error", unconverged)
+        code, stdout, stderr = run(
+            capsys, "sweep", *SWEEP_ARGS, "--out", str(part), "--no-audit"
+        )
+    assert code == EXIT_FAIL
+    assert "reason = failed" in stdout
+    assert "failure: stub residual tolerance not reached at cell j=0, i=2" in stderr
+    assert "Traceback" not in stderr
+    code, _, stderr = run(
+        capsys, "sweep", *SWEEP_ARGS, "--out", str(part), "--resume", "--no-audit"
+    )
+    assert code == EXIT_OK
+    assert "note: dropped 2 cells of unfinished row 0" in stderr
+    assert full.read_bytes() == part.read_bytes()
+
+
 def test_sweep_no_audit_skips_audit(capsys, tmp_path):
     out = tmp_path / "cells.csv"
     code, stdout, _ = run(

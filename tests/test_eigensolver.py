@@ -179,7 +179,8 @@ def test_scaling_covariance():
 
 
 def test_shift_breakdown_falls_back_to_unshifted(monkeypatch):
-    system = assemble(build_mesh(UNIT_RIGHT, 4))
+    # a smallest angle of 11.3 degrees: the factor of K - shift*M preconditions
+    system = assemble(build_mesh(Triangle(0.5, 0.1), 4))
     unshifted = smallest_eigenpairs(system, k=2)
     shift = 0.5 * unshifted.values[0]
     shifted = smallest_eigenpairs(system, k=2, shift=shift)
@@ -188,14 +189,17 @@ def test_shift_breakdown_falls_back_to_unshifted(monkeypatch):
 
     real_splu = eigensolver.splu
     stiffness = system.stiffness.tocsc()
+    refused = []
 
     def splu_failing_when_shifted(op, **kwargs):
         if (op != stiffness).nnz:
+            refused.append(op)
             raise RuntimeError("Factor is exactly singular")
         return real_splu(op, **kwargs)
 
     monkeypatch.setattr(eigensolver, "splu", splu_failing_when_shifted)
     fallback = smallest_eigenpairs(system, k=2, shift=shift)
+    assert len(refused) == 1
     assert fallback.values == unshifted.values
     assert np.array_equal(fallback.block, unshifted.block)
     assert fallback.iterations == unshifted.iterations
@@ -507,12 +511,18 @@ def _record_multigrid_levels(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("apex", [(0.5, 0.8647), (0.3, 0.7)])
-def test_multigrid_path_matches_direct_at_level_9(apex, monkeypatch):
-    system, start, shift = _warm_system(apex)
+@pytest.mark.parametrize(
+    "apex, level",
+    # smallest angles of 60 and 45 degrees, and 27.5 just above
+    # MULTIGRID_MIN_ANGLE, where Jacobi smoothing is weakest
+    [((0.5, 0.8647), 9), ((0.3, 0.7), 9), ((0.5, 0.2603), 8)],
+    ids=["60-degrees-level-9", "45-degrees-level-9", "27.5-degrees-level-8"],
+)
+def test_multigrid_path_matches_the_shift_invert_reference(apex, level, monkeypatch):
+    system, start, shift = _warm_system(apex, level)
     entered = _record_multigrid_levels(monkeypatch)
     pairs = smallest_eigenpairs(system, k=2, shift=shift, start=start)
-    assert entered == [9]
+    assert entered == [level]
     assert pairs.values == pytest.approx(_shift_invert_reference(system, shift), rel=1e-10, abs=0.0)
     block = pairs.block
     assert block.shape == start.shape
@@ -522,10 +532,10 @@ def test_multigrid_path_matches_direct_at_level_9(apex, monkeypatch):
 
 @pytest.mark.parametrize(
     "apex, level",
-    # the finest level of every shape, and level 9 at a smallest angle of 11.3
-    # degrees, where Jacobi smoothing would take more steps than the factor
-    [((0.5, 0.8647), 8), ((0.5, 0.1), 9)],
-    ids=["level-8", "flat-level-9"],
+    # a smallest angle of 11.3 degrees, where Jacobi smoothing would take
+    # more steps than the factor, at a low level and at a multigrid one
+    [((0.5, 0.1), 6), ((0.5, 0.1), 9)],
+    ids=["flat-level-6", "flat-level-9"],
 )
 def test_factor_levels_precondition_with_the_full_shifted_factor(apex, level, monkeypatch):
     system, start, shift = _warm_system(apex, level)
@@ -552,6 +562,16 @@ def test_poorly_shaped_triangle_keeps_the_direct_path(monkeypatch):
     assert pairs.values == pytest.approx(_shift_invert_reference(system, shift), rel=1e-10, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "degrees, multigrid", [(27.5, True), (26.5, False)], ids=["27.5-degrees", "26.5-degrees"]
+)
+def test_the_smallest_angle_alone_chooses_the_v_cycle_at_level_6(degrees, multigrid, monkeypatch):
+    system, start, shift = _warm_system((0.5, 0.5 * math.tan(math.radians(degrees))), level=6)
+    entered = _record_multigrid_levels(monkeypatch)
+    smallest_eigenpairs(system, k=2, shift=shift, start=start)
+    assert entered == ([6] if multigrid else [])
+
+
 def test_smallest_angle_is_read_from_the_stiffness():
     for apex, degrees in [
         (EQUILATERAL_APEX, 60.0),
@@ -566,7 +586,8 @@ def test_smallest_angle_is_read_from_the_stiffness():
 @pytest.mark.parametrize("name", sorted(_CLOSED_FORM))
 def test_error_bounds_enclose_closed_form_spectra_on_the_multigrid_levels(name, monkeypatch):
     # cap 9: levels (8, 9); every closed-form shape has its smallest angle
-    # at or above 30 degrees, so level 9 is preconditioned by the V-cycle
+    # at or above 30 degrees, so every level above the V-cycle's bottom
+    # level 5 is preconditioned by it
     apex, exact = _CLOSED_FORM[name]
     c, s = math.cos(0.4), math.sin(0.4)
     vertices = 1.5 * np.array(Triangle(*apex).vertices)[[1, 2, 0]] @ np.array(
@@ -575,7 +596,7 @@ def test_error_bounds_enclose_closed_form_spectra_on_the_multigrid_levels(name, 
     exact = tuple(lam / 1.5**2 for lam in exact)
     entered = _record_multigrid_levels(monkeypatch)
     spectrum = gap_with_error(vertices, 1e-12, max_level=9)
-    assert entered == [9]
+    assert entered == [6, 7, 8, 9]
     assert spectrum.levels == (8, 9)
     for lam, err, ref in zip(spectrum.eigenvalues, spectrum.error_bounds, exact):
         assert abs(lam - ref) <= err
@@ -584,14 +605,15 @@ def test_error_bounds_enclose_closed_form_spectra_on_the_multigrid_levels(name, 
 
 
 def test_each_prolongation_is_built_once_over_a_level_9_ladder():
-    # the ladder interpolates from levels 4..8; the level-9 V-cycle reuses
-    # those of levels 5..8 for its Galerkin hierarchy
+    # the ladder interpolates from levels 4..8; the V-cycle of each level
+    # L in 6..9 reuses those of levels 5..L-1 for its Galerkin hierarchy,
+    # 1 + 2 + 3 + 4 lookups
     eigensolver._prolongation.cache_clear()
     spectrum = gap_with_error(Triangle(0.5, 0.8647), 1e-12, max_level=9)
     assert spectrum.levels == (8, 9)
     info = eigensolver._prolongation.cache_info()
     assert info.misses == 5
-    assert info.hits == 4
+    assert info.hits == 10
 
 
 def test_multigrid_path_factorizes_only_the_bottom_level(monkeypatch):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigap.eigensolver import Spectrum, gap_with_error
+from trigap.eigensolver import ConvergenceError, Spectrum, gap_with_error
 from trigap.geometry import EQUILATERAL_APEX, GAP_THRESHOLD
 from trigap.sweep import (
     CONTINUITY_FACTOR,
@@ -571,6 +571,37 @@ def test_sweep_reports_the_lower_of_two_failures(threads):
     assert result.state == SweepState(y=WINDOW.y0)
     seed_above_solved = any(y > 0.401 for _, y in apexes)
     assert seed_above_solved == (threads > 1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("where", [(1, 0), (0, 2)], ids=["seed", "non-seed"])
+def test_solver_convergence_error_fails_the_run_at_its_cell(where, threads):
+    full = run_sweep(WINDOW, solver=make_solver())
+    at = next(n for n, c in enumerate(full.cells) if (c.j, c.i) == where)
+    bad = full.cells[at]
+
+    def solver(triangle, target, max_level=None):
+        if (triangle.apex_x, triangle.apex_y) == (bad.x, bad.y):
+            raise ConvergenceError("residual tolerance not reached")
+        return make_solver()(triangle, target, max_level)
+
+    written = []
+    result = run_sweep(WINDOW, solver=solver, sink=written.append, threads=threads)
+    assert result.reason == "failed"
+    failure = result.failure
+    assert failure.reason == "solver"
+    assert (failure.j, failure.i, failure.x, failure.y) == (bad.j, bad.i, bad.x, bad.y)
+    assert isinstance(failure.__cause__, ConvergenceError)
+    assert "residual tolerance not reached at cell" in str(failure)
+    assert result.cells == tuple(written) == full.cells[:at]
+    # the state stays at the start of the failed row, which the written
+    # cells replay to, and a resumed run completes the same output
+    assert result.state == replayed(written)
+    assert result.state.j == bad.j
+    kept = written[: result.state.cells_emitted]
+    rest = run_sweep(WINDOW, solver=make_solver(), resume_from=result.state, threads=threads)
+    assert rest.reason == "complete"
+    assert cells_to_csv(kept + list(rest.cells)) == cells_to_csv(full.cells)
 
 
 # ---------------------------------------------------------------- resume
