@@ -15,8 +15,7 @@ Exit codes: 0 success, 1 computation or check failure, 2 usage error,
 3 budget exhausted (sweep stopped early by --max-cells / --max-rows).
 
 Configuration can come from a plain-text key=value file via --config; flags
-given on the command line override file entries.  Thread count falls back to
-the TRIGAP_THREADS environment variable.
+given on the command line override file entries.
 """
 
 from __future__ import annotations
@@ -81,13 +80,6 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("TRIGAP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 class _Parser(argparse.ArgumentParser):
     """Reads option values such as -1e-4 as negative numbers, as argparse
     does from Python 3.13 on; no trigap option starts with a digit."""
@@ -122,7 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclusion-radius", type=float, default=defaults.exclusion_radius)
     p.add_argument("--max-rounds", type=int, default=defaults.max_accuracy_rounds)
     p.add_argument("--max-level", type=int, default=defaults.max_level)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    p.add_argument("--threads", type=int, default=cores, help="default: usable cores")
     p.add_argument("--out", default="sweep_cells.csv")
     p.add_argument("--resume", action="store_true")
     p.add_argument(

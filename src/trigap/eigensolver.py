@@ -542,9 +542,13 @@ def gap_with_error(
     """Eigenvalue pair and gap with an empirical error bound at most ``target``.
 
     Refines until the Richardson error estimate on xi meets the target or the
-    level cap is reached (the result is then flagged ``accuracy_met=False``
-    and must not be used to certify anything).  Thin triangles additionally
-    require the observed convergence rate to stay near second order.  The
+    level cap is reached.  Thin triangles additionally require the observed
+    convergence rate to stay near second order.  ``accuracy_met=False`` says
+    one of two things.  Either the target was missed at the cap: xi_error is
+    then still the ladder's Richardson bar, only wider than asked, and the
+    sweep certifies from xi - xi_error when that clears its digit rule.  Or,
+    for a thin triangle, the rate gate failed (see ``rates``): the ladder is
+    not in the regime the estimate assumes, and the bar is untrusted.  The
     result depends only on the triangle's shape, size and the arguments, not
     on how its vertices are given.
     """

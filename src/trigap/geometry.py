@@ -33,8 +33,9 @@ EQUILATERAL_APEX = (0.5, math.sqrt(3.0) / 2.0)
 #: minimum of d^2 (lambda_2 - lambda_1) over all triangles.
 GAP_THRESHOLD = 64.0 * math.pi**2 / 9.0
 
-#: Rows with apex height below this are handled by the thin-triangle estimate
-#: rather than by certified cells.
+#: Apex heights below this are left out of the sweep region.  The strip is
+#: assumed to satisfy the bound: no thin-triangle estimate for it is
+#: implemented or checked here (ROADMAP.md, the rest of the moduli region).
 THIN_STRIP_HEIGHT = 0.005
 
 #: Radius of the ball around the equilateral apex excluded from the sweep,

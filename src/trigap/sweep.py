@@ -182,9 +182,9 @@ class SweepPolicy:
 class CertifiedCell:
     """One certified grid apex and its radius.
 
-    The truncation invariant t_radius <= t_prime < t_radius + 10^-n is
-    checked exactly in rational arithmetic (the clamped case t_prime >= 1
-    is exempt; its radius is capped at 0.9 by fiat).
+    The truncation invariants t_radius = d 10^-n <= t_prime < (d+1) 10^-n
+    are checked exactly, the second in rational arithmetic; a raw radius
+    t_prime >= 1 must carry the clamp n=1, d=9 (radius 0.9) instead.
     """
 
     j: int
@@ -209,24 +209,22 @@ class CertifiedCell:
             )
         if not self.t_radius > 0.0:
             raise ValueError("certified radius must be positive")
-        if not (1 <= self.d_digit <= 9 and self.n_digits >= 1):
-            raise ValueError(
-                f"invalid truncation digits n={self.n_digits}, d={self.d_digit}"
-            )
-        if self.t_prime < 1.0:
-            low = Fraction(self.d_digit, 10**self.n_digits)
-            high = Fraction(self.d_digit + 1, 10**self.n_digits)
-            if not low <= Fraction(self.t_prime) < high:
-                raise ValueError(
-                    f"truncation broken: t_radius={self.t_radius}, "
-                    f"t_prime={self.t_prime}, n={self.n_digits}"
-                )
+        n, d = self.n_digits, self.d_digit
+        if not (1 <= d <= 9 and n >= 1):
+            raise ValueError(f"invalid truncation digits n={n}, d={d}")
+        if self.t_radius != d * 10.0**-n:
+            raise ValueError(f"radius {self.t_radius} is not d*10^-n, n={n}, d={d}")
+        if self.t_prime >= 1.0:
+            truncated = (n, d) == (1, 9)
+        else:
+            low, high = Fraction(d, 10**n), Fraction(d + 1, 10**n)
+            truncated = low <= Fraction(self.t_prime) < high
+        if not truncated:
+            raise ValueError(f"truncation broken: t_prime={self.t_prime}, n={n}, d={d}")
 
 
 #: CertifiedCell's fields, one per CSV column and in CSV_COLUMNS order.
-_CELL_FIELDS = tuple(
-    f for _, f in zip(CSV_COLUMNS, fields(CertifiedCell), strict=True)
-)
+_CELL_FIELDS = tuple(f for _, f in zip(CSV_COLUMNS, fields(CertifiedCell), strict=True))
 
 
 @dataclass(frozen=True)
@@ -287,13 +285,10 @@ def truncate_radius(t_prime: float) -> tuple[int, int, float]:
         return (1, 9, 0.9)
     scaled = Fraction(t_prime)
     n = 0
+    # ends by n = 324, the place of the smallest subnormal's leading digit
     while scaled < 1:
         scaled *= 10
         n += 1
-        if n > 330:
-            raise SweepFailure(
-                "radius", f"radius {t_prime} below representable truncation range"
-            )
     d = int(scaled)
     t_radius = d * 10.0 ** (-n)
     if t_radius <= 0.0:
@@ -375,12 +370,11 @@ def _advance(pos: float, t: float, limit: float) -> float:
     return nxt
 
 
-def _row_above(y: float, seed: CertifiedCell, window: SweepWindow) -> float:
-    """Height of the row above the row at y whose first cell is seed: one
-    seed radius up, clamped to the window's top edge.  This is the only
-    row-height rule: the look-ahead and the emitted state of run_sweep, and
-    the replay of resume_point, all take row heights from here."""
-    return _advance(y, seed.t_radius, window.y1)
+def _row_above(seed: CertifiedCell, window: SweepWindow) -> float:
+    """Height of the row above the row whose first cell is seed: one seed
+    radius up, clamped to the window's top edge.  The walk's look-ahead and
+    its emitted state both take row heights from here."""
+    return _advance(seed.y, seed.t_radius, window.y1)
 
 
 def _in_region(x: float, y: float, window: SweepWindow, policy: SweepPolicy) -> bool:
@@ -392,26 +386,24 @@ def _in_region(x: float, y: float, window: SweepWindow, policy: SweepPolicy) -> 
 
 
 def _certify_row(
-    j: int,
-    y: float,
-    row: list[CertifiedCell],
+    seed: CertifiedCell,
     window: SweepWindow,
     policy: SweepPolicy,
     certify: Callable[[int, int, float, float], CertifiedCell],
 ) -> tuple[list[CertifiedCell], SweepFailure | None]:
-    """Certify row j at height y rightwards, after the cells it already has
-    in ``row``, until it leaves the region.
+    """Certify the row of ``seed`` rightwards from it until it leaves the
+    region.
 
     Each next cell sits one radius to the right of the one before; cell i at
     x comes from ``certify(j, i, x, y)``, which raises SweepFailure when the
     cell cannot be certified.  Returns the row's cells and the failure that
     ended the row early, if any.
     """
-    cells = list(row)
-    x = _advance(cells[-1].x, cells[-1].t_radius, window.x1) if cells else window.x0
-    while _in_region(x, y, window, policy):
+    cells = [seed]
+    x = _advance(seed.x, seed.t_radius, window.x1)
+    while _in_region(x, seed.y, window, policy):
         try:
-            cell = certify(j, len(cells), x, y)
+            cell = certify(seed.j, len(cells), x, seed.y)
         except SweepFailure as failure:
             return cells, failure
         cells.append(cell)
@@ -419,10 +411,9 @@ def _certify_row(
     return cells, None
 
 
-def _pin_blas_threads(count: int) -> list[tuple[Callable[[int], None], int]]:
-    """Set each loaded OpenBLAS that exports a thread-count control to count
-    threads; returns each setter with the count it had before, to be
-    restored in reverse order."""
+def _pin_blas_threads() -> list[tuple[Callable[[int], None], int]]:
+    """Set each loaded OpenBLAS that exports a thread-count control to one
+    thread; returns each setter with its previous count, to restore."""
     saved = []
     for module, suffix in _OPENBLAS_LINKS:
         lib = ctypes.CDLL(importlib.import_module(module).__file__)
@@ -434,7 +425,7 @@ def _pin_blas_threads(count: int) -> list[tuple[Callable[[int], None], int]]:
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
         saved.append((set_, get()))
-        set_(count)
+        set_(1)
     return saved
 
 
@@ -444,6 +435,69 @@ def _check_run(threads: int, max_rows: int | None, max_cells: int | None) -> Non
         raise ValueError("threads must be at least 1")
     if any(budget is not None and budget < 0 for budget in (max_rows, max_cells)):
         raise ValueError("max_rows and max_cells must be non-negative")
+
+
+def _walk(
+    window: SweepWindow,
+    policy: SweepPolicy,
+    certify: Callable[[int, int, float, float], CertifiedCell],
+    state: SweepState,
+    threads: int,
+    sink: Callable[[CertifiedCell], None] | None = None,
+    max_rows: int | None = None,
+    max_cells: int | None = None,
+) -> SweepResult:
+    """run_sweep's pipeline from ``state``, and resume_point's replay: cell i
+    of row j at (x, y) comes from ``certify(j, i, x, y)``."""
+    first_j = state.j
+    cells: list[CertifiedCell] = []
+    # Started rows not yet emitted, lowest first: each future gives the
+    # row's (cells, failure), or raises the SweepFailure of a failed seed.
+    rows: deque[Future] = deque()
+    # (j, y) of the next row to start; None once a seed has failed
+    upcoming: tuple[int, float] | None = (state.j, state.y)
+
+    def startable(j: int, y: float) -> bool:
+        in_budget = max_rows is None or j - first_j < max_rows
+        return in_budget and _in_region(window.x0, y, window, policy)
+
+    pool = ThreadPoolExecutor(max_workers=threads)
+    blas_threads = _pin_blas_threads()
+    try:
+        while True:
+            if not _in_region(window.x0, state.y, window, policy):
+                return SweepResult(tuple(cells), state, "complete")
+            if not startable(state.j, state.y) or (
+                max_cells is not None and len(cells) >= max_cells
+            ):
+                return SweepResult(tuple(cells), state, "budget")
+            while upcoming and len(rows) < threads and startable(*upcoming):
+                j, y = upcoming
+                seed = pool.submit(certify, j, 0, window.x0, y)
+                if seed.exception() is not None:
+                    rows.append(seed)
+                    upcoming = None
+                else:
+                    first = seed.result()
+                    rows.append(pool.submit(_certify_row, first, window, policy, certify))
+                    upcoming = (j + 1, _row_above(first, window))
+            try:
+                row, failure = rows.popleft().result()
+            except SweepFailure as seed_failure:
+                row, failure = [], seed_failure
+            if sink is not None:
+                for cell in row:
+                    sink(cell)
+            cells.extend(row)
+            if failure is not None:
+                return SweepResult(tuple(cells), state, "failed", failure)
+            state = SweepState(
+                state.j + 1, _row_above(row[0], window), state.cells_emitted + len(row)
+            )
+    finally:
+        pool.shutdown(cancel_futures=True)
+        for set_threads, count in reversed(blas_threads):
+            set_threads(count)
 
 
 def run_sweep(
@@ -475,9 +529,9 @@ def run_sweep(
     order at any thread count, so the output does not depend on it.  The
     cells written so far determine the position: a run killed at any point
     resumes from ``resume_point`` of its cells to the same final output.
-    While a pool of more than one worker runs, every loaded OpenBLAS is set
-    to one thread, so the workers do not compete for cores with BLAS threads
-    of their own; the setting is process-wide, and the previous counts come
+    Every loaded OpenBLAS runs one thread while the run lasts, at any thread
+    count: solves are faster so, and workers do not compete for cores with
+    BLAS threads.  The setting is process-wide; the previous counts come
     back when the run returns or raises.
 
     max_rows and max_cells count the rows and cells of this run, not of the
@@ -496,66 +550,14 @@ def run_sweep(
 
     certify = partial(_certify_cell, policy=policy, solver=solver)
     state = SweepState(y=window.y0) if resume_from is None else resume_from
-    first_j = state.j
-    cells: list[CertifiedCell] = []
-    # Started rows not yet emitted, lowest first: each future gives the
-    # row's (cells, failure), or raises the SweepFailure of a failed seed.
-    rows: deque[Future] = deque()
-    # (j, y) of the next row to start; None once a seed has failed
-    upcoming: tuple[int, float] | None = (state.j, state.y)
-
-    def startable(j: int, y: float) -> bool:
-        in_budget = max_rows is None or j - first_j < max_rows
-        return in_budget and _in_region(window.x0, y, window, policy)
-
-    pool = ThreadPoolExecutor(max_workers=threads)
-    blas_threads = _pin_blas_threads(1) if threads > 1 else []
-    try:
-        while True:
-            if not _in_region(window.x0, state.y, window, policy):
-                return SweepResult(tuple(cells), state, "complete")
-            if not startable(state.j, state.y) or (
-                max_cells is not None and len(cells) >= max_cells
-            ):
-                return SweepResult(tuple(cells), state, "budget")
-            while upcoming and len(rows) < threads and startable(*upcoming):
-                j, y = upcoming
-                seed = pool.submit(certify, j, 0, window.x0, y)
-                if seed.exception() is not None:
-                    rows.append(seed)
-                    upcoming = None
-                else:
-                    row = [seed.result()]
-                    rows.append(
-                        pool.submit(_certify_row, j, y, row, window, policy, certify)
-                    )
-                    upcoming = (j + 1, _row_above(y, row[0], window))
-            try:
-                row, failure = rows.popleft().result()
-            except SweepFailure as seed_failure:
-                row, failure = [], seed_failure
-            if sink is not None:
-                for cell in row:
-                    sink(cell)
-            cells.extend(row)
-            if failure is not None:
-                return SweepResult(tuple(cells), state, "failed", failure)
-            state = SweepState(
-                state.j + 1,
-                _row_above(state.y, row[0], window),
-                state.cells_emitted + len(row),
-            )
-    finally:
-        pool.shutdown(cancel_futures=True)
-        for set_threads, count in reversed(blas_threads):
-            set_threads(count)
+    return _walk(window, policy, certify, state, threads, sink, max_rows, max_cells)
 
 
 def resume_point(
     cells: Sequence[CertifiedCell], window: SweepWindow, policy: SweepPolicy
 ) -> SweepState:
     """The position after the last complete row of ``cells``, by walking
-    the rows again with each recorded cell in place of a solve.
+    the rows again at one thread with each recorded cell in place of a solve.
 
     The walk is run_sweep's: row j starts at (x0, y_j), each next cell sits
     one radius to the right of the one before, and row j+1 starts one seed
@@ -572,7 +574,7 @@ def resume_point(
     def certify(j: int, i: int, x: float, y: float) -> CertifiedCell:
         cell = next(recorded, None)
         if cell is None:
-            # ends the row like a failed cell, so its cells are not counted
+            # ends the walk like a failed cell, so its row is not counted
             raise SweepFailure("replay", "no more recorded cells")
         if (cell.j, cell.i, cell.x, cell.y) != (j, i, x, y):
             raise ValueError(
@@ -582,16 +584,7 @@ def resume_point(
             )
         return cell
 
-    state = SweepState(y=window.y0)
-    while _in_region(window.x0, state.y, window, policy):
-        row, failure = _certify_row(state.j, state.y, [], window, policy, certify)
-        if failure is not None:
-            return state
-        state = SweepState(
-            state.j + 1,
-            _row_above(state.y, row[0], window),
-            state.cells_emitted + len(row),
-        )
+    state = _walk(window, policy, certify, SweepState(y=window.y0), 1).state
     extra = next(recorded, None)
     if extra is not None:
         raise ValueError(
@@ -627,7 +620,13 @@ def cells_to_csv(cells: Iterable[CertifiedCell], header: bool = True) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PARSE = {"int": int, "float": float, "bool": lambda text: text == "true"}
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"boolean field must be true or false, got {text!r}")
+    return text == "true"
+
+
+_PARSE = {"int": int, "float": float, "bool": _parse_bool}
 
 
 def cells_from_csv(text: str) -> tuple[CertifiedCell, ...]:

@@ -2,11 +2,12 @@
 
 import functools
 import math
+import os
 
 import pytest
 
 from trigap import cli, sweep
-from trigap.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, _default_threads, main
+from trigap.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from trigap.eigensolver import ConvergenceError, Spectrum, gap_with_error
 from trigap.geometry import Triangle
 from trigap.sweep import format_value
@@ -92,7 +93,8 @@ def test_eigen_negative_accuracy_reaches_the_solver(capsys, tmp_path, accuracy):
 # ---------------------------------------------------------------- sweep
 
 
-SWEEP_ARGS = ("--window", "0.5,0.51,0.4,0.41", "--accuracy", "0.25")
+# one thread keeps the solves in order, so stubs can count them
+SWEEP_ARGS = ("--window", "0.5,0.51,0.4,0.41", "--accuracy", "0.25", "--threads", "1")
 
 
 def test_sweep_interrupt_resume_byte_identical(capsys, tmp_path):
@@ -217,6 +219,53 @@ def test_sweep_resume_rejects_malformed_counted_line(capsys, tmp_path):
     assert code == EXIT_USAGE
     assert "error:" in stderr
     assert "malformed" in stderr
+
+
+def test_sweep_resume_rejects_a_radius_its_digits_do_not_give(capsys, tmp_path):
+    out = tmp_path / "cells.csv"
+    code, _, _ = run(
+        capsys, "sweep", *SWEEP_ARGS, "--out", str(out), "--max-rows", "1"
+    )
+    assert code == EXIT_BUDGET
+    # the row's last cell moves no later cell, so only the digit rule
+    # catches an edited radius there
+    lines = out.read_text().splitlines(keepends=True)
+    fields = lines[-1].split(",")
+    assert (fields[1], fields[-1]) != ("0", "true\n")
+    fields[11] = "0.5"
+    lines[-1] = ",".join(fields)
+    out.write_text("".join(lines))
+    edited = out.read_bytes()
+    code, stdout, stderr = run(
+        capsys, "sweep", *SWEEP_ARGS, "--out", str(out), "--resume"
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert stderr.startswith(f"error: cannot resume from {out}: radius 0.5 is not")
+    assert out.read_bytes() == edited
+
+
+def test_sweep_default_threads_are_the_usable_cores(capsys, tmp_path, monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count()
+    threads = []
+    run_sweep = cli.run_sweep
+
+    def spy(*args, **kwargs):
+        threads.append(kwargs["threads"])
+        return run_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_sweep", spy)
+    one, default = tmp_path / "one.csv", tmp_path / "default.csv"
+    code, _, _ = run(capsys, "sweep", *SWEEP_ARGS, "--out", str(one), "--no-audit")
+    assert code == EXIT_OK
+    window = SWEEP_ARGS[: SWEEP_ARGS.index("--threads")]
+    code, _, _ = run(capsys, "sweep", *window, "--out", str(default), "--no-audit")
+    assert code == EXIT_OK
+    assert threads == [1, cores]
+    assert default.read_bytes() == one.read_bytes()
 
 
 def test_sweep_killed_before_first_row_resumes(capsys, tmp_path, monkeypatch):
@@ -760,15 +809,6 @@ def test_unknown_subcommand(capsys):
 def test_missing_subcommand(capsys):
     assert main([]) == EXIT_USAGE
     capsys.readouterr()
-
-
-def test_default_threads_env(monkeypatch):
-    monkeypatch.setenv("TRIGAP_THREADS", "7")
-    assert _default_threads() == 7
-    monkeypatch.setenv("TRIGAP_THREADS", "zero")
-    assert _default_threads() == 1
-    monkeypatch.delenv("TRIGAP_THREADS")
-    assert _default_threads() == 1
 
 
 def test_exit_code_constants_distinct():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigap.eigensolver import ConvergenceError, Spectrum, gap_with_error
-from trigap.geometry import EQUILATERAL_APEX, GAP_THRESHOLD
+from trigap.geometry import EQUILATERAL_APEX, GAP_THRESHOLD, Triangle
 from trigap.sweep import (
     CONTINUITY_FACTOR,
     CSV_COLUMNS,
@@ -172,6 +172,35 @@ def test_cell_rejects_broken_truncation():
         good_cell(d_digit=0)
     with pytest.raises(ValueError):
         good_cell(t_radius=-1e-3)
+
+
+@pytest.mark.parametrize("t_radius", [0.5, 3e-3, 2e-2, 2.0000000000000004e-3])
+def test_cell_rejects_a_radius_its_digits_do_not_give(t_radius):
+    with pytest.raises(ValueError, match="d\\*10\\^-n"):
+        good_cell(t_radius=t_radius)
+    # nor does such a cell load from CSV text
+    text = cells_to_csv([good_cell()]).replace(",0.002,", f",{t_radius!r},")
+    with pytest.raises(ValueError):
+        cells_from_csv(text)
+
+
+def test_cell_clamp_needs_the_clamped_digits():
+    clamped = good_cell(t_prime=1.5, n_digits=1, d_digit=9, t_radius=0.9)
+    assert clamped.t_radius == truncate_radius(1.5)[2]
+    with pytest.raises(ValueError, match="truncation broken"):
+        good_cell(t_prime=1.5, n_digits=2, d_digit=9, t_radius=9e-2)
+    with pytest.raises(ValueError, match="truncation broken"):
+        good_cell(t_prime=1.5, n_digits=1, d_digit=5, t_radius=0.5)
+
+
+@pytest.mark.parametrize("field", ["True", "yes", "1", "", "flase"])
+def test_cells_from_csv_rejects_a_boolean_that_is_not_true_or_false(field):
+    line = format_cell_row(good_cell())
+    assert line.endswith(",true")
+    header = ",".join(CSV_COLUMNS)
+    assert cells_from_csv(f"{header}\n{line[:-4]}false\n")[0].accuracy_met is False
+    with pytest.raises(ValueError, match="true or false"):
+        cells_from_csv(f"{header}\n{line[:-4]}{field}\n")
 
 
 def test_cell_csv_round_trip():
@@ -449,8 +478,7 @@ def test_pool_workers_run_with_one_blas_thread(blas_counts, threads):
     result = run_sweep(WINDOW, solver=solver, threads=threads)
     assert result.reason == "complete"
     assert len(seen) == len(result.cells)
-    inside = (1, 1) if threads > 1 else blas_counts
-    assert set(seen) == {inside}
+    assert set(seen) == {(1, 1)}
     assert openblas_thread_counts() == blas_counts
 
 
@@ -868,7 +896,7 @@ def test_real_solver_small_window():
         assert cell.accuracy_met
     report = coverage_audit(result.cells, window)
     assert report.passed
-    # one BLAS thread per pool worker gives the same bytes as the serial run
+    # two pool workers give the same bytes as the serial run
     threaded = run_sweep(window, policy=SweepPolicy(initial_accuracy=0.25), threads=2)
     assert threaded.reason == "complete"
     assert cells_to_csv(threaded.cells) == cells_to_csv(result.cells)
@@ -876,21 +904,27 @@ def test_real_solver_small_window():
 
 def test_real_solver_multigrid_levels_ignore_the_thread_count():
     # every cell re-solves to levels (8, 9); level 9 runs multigrid LOBPCG,
-    # whose dense products use BLAS at its own thread count when serial and
-    # at one thread in pool workers
+    # whose dense products use BLAS, at one thread inside every run
     window = SweepWindow(0.5, 0.5005, 0.70, 0.7005)
     policy = SweepPolicy(initial_accuracy=0.25)
     csv = {}
     for threads in (1, 2):
-        levels = []
+        last = {}  # apex -> (target, levels) of its last solve
 
         def solver(triangle, target, max_level):
             spectrum = gap_with_error(triangle, target, max_level=max_level)
-            levels.append(spectrum.levels)
+            last[triangle.apex_x, triangle.apex_y] = (target, spectrum.levels)
             return spectrum
 
         result = run_sweep(window, policy=policy, solver=solver, threads=threads)
         assert result.reason == "complete"
-        assert (8, 9) in levels
+        assert (8, 9) in {levels for _, levels in last.values()}
         csv[threads] = cells_to_csv(result.cells)
     assert csv[2] == csv[1]
+    # outside a run BLAS has its default thread count: a level-9 cell's
+    # final solve gives the same numbers there
+    cell = next(c for c in result.cells if last[c.x, c.y][1] == (8, 9))
+    target = last[cell.x, cell.y][0]
+    direct = gap_with_error(Triangle(cell.x, cell.y), target, max_level=None)
+    assert (direct.lambda1, direct.lambda2) == (cell.lambda1, cell.lambda2)
+    assert (direct.xi, direct.xi_error) == (cell.xi, cell.err)
