@@ -63,7 +63,7 @@ from .sweep import (
     _check_run,
     _check_spacing,
 )
-from .tables import verify_integral_tables, _check_quad_degree
+from .tables import verify_integral_tables
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -112,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="initial per-cell gap target",
     )
     p.add_argument("--exclusion-radius", type=float, default=defaults.exclusion_radius)
-    p.add_argument("--max-rounds", type=int, default=defaults.max_accuracy_rounds)
     p.add_argument("--max-level", type=int, default=defaults.max_level)
     affinity = getattr(os, "sched_getaffinity", None)
     cores = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -153,7 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("lame-verify", help="verify equilateral integral tables")
-    p.add_argument("--quad-degree", type=int, default=6)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("lame-spectrum", help="distinct equilateral eigenvalues")
@@ -283,7 +281,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     policy = SweepPolicy(
         initial_accuracy=args.accuracy,
         exclusion_radius=args.exclusion_radius,
-        max_accuracy_rounds=args.max_rounds,
         max_level=args.max_level,
     )
     _check_run(args.threads, args.max_rows, args.max_cells)
@@ -415,10 +412,9 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def cmd_lame_verify(args: argparse.Namespace) -> int:
-    _check_quad_degree(args.quad_degree)
     if args.out:
         _open_out(args.out).close()
-    report = verify_integral_tables(quad_degree=args.quad_degree)
+    report = verify_integral_tables()
     for row in report.flagged:
         print(
             f"{row.name}: {row.status}  stated={format_value(row.stated_value)} "

@@ -213,15 +213,15 @@ def apply_operator(coeffs: dict[str, float], f: TrigSum) -> TrigSum:
     )
 
 
-def _first_order_form(f: TrigSum, direction: DeformationDirection, n: int) -> float:
+def _first_order_form(f: TrigSum, direction: DeformationDirection) -> float:
     """int f (L1|_{t=0} f) over the equilateral triangle, by quadrature."""
     lf = apply_operator(perturbation_operator_coeffs(direction, 0.0)["L1"], f)
-    return equilateral_integral(lambda x, y: f(x, y) * lf(x, y), n=n)
+    return equilateral_integral(lambda x, y: f(x, y) * lf(x, y))
 
 
-def lambda1_slope(direction: DeformationDirection, n: int = 6) -> float:
+def lambda1_slope(direction: DeformationDirection) -> float:
     """First-order change of lambda1: -int phi1 (L1|_{t=0}) phi1 by quadrature."""
-    return -_first_order_form(phi1_trigsum(), direction, n)
+    return -_first_order_form(phi1_trigsum(), direction)
 
 
 def lambda1_slope_closed_form(direction: DeformationDirection) -> float:
@@ -254,13 +254,13 @@ def slope_gap_I(
 
 
 def slope_gap_I_quadrature(
-    coeffs: SecondEigenspaceCoeffs, direction: DeformationDirection, n: int = 6
+    coeffs: SecondEigenspaceCoeffs, direction: DeformationDirection
 ) -> float:
     """I evaluated directly from its defining integrals."""
     u, v = second_basis()
     phi = u.scaled(coeffs.alpha) + v.scaled(coeffs.beta)
-    return -_first_order_form(phi, direction, n) + _first_order_form(
-        phi1_trigsum(), direction, n
+    return -_first_order_form(phi, direction) + _first_order_form(
+        phi1_trigsum(), direction
     )
 
 

@@ -373,29 +373,28 @@ def _start_block(start: np.ndarray | None, n: int, width: int) -> np.ndarray:
     return np.hstack([start[:, :used], v]) if used else v
 
 
-def _rayleigh_ritz(system: AssembledSystem, w: np.ndarray, k: int):
-    """M-orthonormalize the columns of w and rotate them onto Ritz vectors.
-
-    Returns the Ritz values, the Ritz block and whether the first k pairs
-    meet the residual tolerance.
-    """
+def _rayleigh_ritz(system: AssembledSystem, w: np.ndarray):
+    """M-orthonormalize the columns of w and rotate them onto Ritz vectors:
+    the Ritz values and the Ritz block."""
     kk, mm = system.stiffness, system.mass
     chol = np.linalg.cholesky(w.T @ (mm @ w))
     w = solve_triangular(chol, w.T, lower=True).T
     h = w.T @ (kk @ w)
     h = 0.5 * (h + h.T)
     theta, s = np.linalg.eigh(h)
-    v = w @ s
-    return theta, v, _residual(system, v[:, :k], theta[:k], k)[2]
+    return theta, w @ s
 
 
 def _residual(system: AssembledSystem, v: np.ndarray, theta: np.ndarray, k: int):
-    """K v - M v theta, v^T K v, and whether the first k columns meet RESIDUAL_TOL."""
+    """K v - M v theta, v^T K v, M v, and whether the first k columns meet
+    RESIDUAL_TOL."""
+    mv = system.mass @ v
     resid = system.stiffness @ v
     vkv = v.T @ resid
     bound = RESIDUAL_TOL * np.linalg.norm(resid[:, :k], axis=0)
-    resid -= system.mass @ v * theta
-    return resid, vkv, bool(np.all(np.linalg.norm(resid[:, :k], axis=0) <= bound))
+    resid -= mv * theta
+    met = bool(np.all(np.linalg.norm(resid[:, :k], axis=0) <= bound))
+    return resid, vkv, mv, met
 
 
 def _v_cycle(grids: list, bottom, r: np.ndarray) -> np.ndarray:
@@ -448,15 +447,15 @@ def _lobpcg(system: AssembledSystem, k: int, start, grids: list, bottom) -> Eige
     again.
     """
     n = system.stiffness.shape[0]
-    theta, v, _ = _rayleigh_ritz(system, _start_block(start, n, min(k + 3, n)), k)
+    theta, v = _rayleigh_ritz(system, _start_block(start, n, min(k + 3, n)))
     direction = v[:, :0]
     for iteration in range(MAX_ITERATIONS + 1):
         step = _lobpcg_step(system, grids, bottom, v, theta, direction, k)
         if step is not None:
             theta, v, direction = step
             continue
-        theta, v, converged = _rayleigh_ritz(system, v, k)
-        if converged:
+        theta, v = _rayleigh_ritz(system, v)
+        if _residual(system, v[:, :k], theta[:k], k)[3]:
             return EigenPairs(tuple(theta[:k].tolist()), block=v, iterations=iteration)
     raise ConvergenceError(
         f"residual tolerance {RESIDUAL_TOL} not reached in {MAX_ITERATIONS} iterations"
@@ -466,11 +465,12 @@ def _lobpcg(system: AssembledSystem, k: int, start, grids: list, bottom) -> Eige
 def _lobpcg_step(system: AssembledSystem, grids: list, bottom, v, theta, direction, k: int):
     """The next Ritz values, block and direction (the old direction changes in
     place), or None when v's first k columns pass; at most six blocks live."""
-    y, vkv, met = _residual(system, v, theta, k)
+    y, vkv, mv, met = _residual(system, v, theta, k)
     if met:
         return None
     y = _v_cycle(grids, bottom, y)
-    y = _m_orthogonal_stack(system.mass, v, y, direction)
+    y = _m_orthogonal_stack(mv, v, y, direction)
+    del mv  # at most six blocks live
     gram = y.T @ (system.mass @ y)
     scale = 1.0 / np.sqrt(np.diag(gram))
     mu, u = np.linalg.eigh(gram * np.outer(scale, scale))
@@ -484,9 +484,9 @@ def _lobpcg_step(system: AssembledSystem, grids: list, bottom, v, theta, directi
     return ritz[:width], v, direction
 
 
-def _m_orthogonal_stack(mass: csr_matrix, v: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
-    """The blocks side by side, each M-orthogonalized in place against v."""
-    mv = mass @ v
+def _m_orthogonal_stack(mv: np.ndarray, v: np.ndarray, *blocks: np.ndarray) -> np.ndarray:
+    """The blocks side by side, each M-orthogonalized in place against v,
+    given M v."""
     for _ in range(2):
         for y in blocks:
             y -= v @ (mv.T @ y)
@@ -584,7 +584,7 @@ def gap_with_error(
         xi_error = d * d * (e1 + e2)
         met = xi_error <= target
         if thin:
-            met = met and _rates_trusted(rates) and len(history) >= 3
+            met = met and _rates_trusted(rates)
         spectrum = Spectrum(
             eigenvalues=(l1, l2),
             error_bounds=(e1, e2),

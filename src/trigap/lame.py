@@ -409,6 +409,7 @@ def _boundary_max(f, samples: int = 200) -> float:
     return worst
 
 
-def equilateral_integral(f, n: int = 6, subdivision: int = 4) -> float:
-    """Integral of f over the unit equilateral triangle."""
-    return integrate(f, EQUILATERAL_VERTICES, n=n, subdivision=subdivision)
+def equilateral_integral(f, n: int = 6) -> float:
+    """Integral of f over the unit equilateral triangle: n Gauss points per
+    axis on each of 256 congruent cells."""
+    return integrate(f, EQUILATERAL_VERTICES, n=n)

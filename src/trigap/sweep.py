@@ -95,6 +95,9 @@ CSV_COLUMNS = (
 
 Solver = Callable[[Triangle, float, "int | None"], Spectrum]
 
+#: Re-solves a cell may take at tighter targets after its first solve.
+ACCURACY_ROUNDS = 3
+
 #: An extension module linked to each OpenBLAS that numpy and scipy load,
 #: and the suffix of that build's thread-count symbols: numpy's serves
 #: ``@``, ``cholesky`` and ``eigh``; scipy's serves ``solve_triangular`` and
@@ -167,15 +170,12 @@ class SweepPolicy:
 
     initial_accuracy: float = 0.25
     exclusion_radius: float = EXCLUSION_RADIUS
-    max_accuracy_rounds: int = 3
     max_level: int | None = None
 
     def __post_init__(self) -> None:
         _check_request(self.initial_accuracy, self.max_level)
         if not self.exclusion_radius >= 0.0:
             raise ValueError("exclusion_radius must be non-negative")
-        if self.max_accuracy_rounds < 0:
-            raise ValueError("max_accuracy_rounds must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -185,6 +185,10 @@ class CertifiedCell:
     The truncation invariants t_radius = d 10^-n <= t_prime < (d+1) 10^-n
     are checked exactly, the second in rational arithmetic; a raw radius
     t_prime >= 1 must carry the clamp n=1, d=9 (radius 0.9) instead.
+    accuracy_met is the certifying spectrum's own flag (see gap_with_error):
+    false when that solve missed its target at the level cap, or failed a
+    thin triangle's rate gate, and the cell was certified from its error
+    bar all the same.
     """
 
     j: int
@@ -306,7 +310,7 @@ def _certify_cell(
 ) -> CertifiedCell:
     """Solve, derive the radius, and tighten accuracy until the digit rule holds."""
     target = policy.initial_accuracy
-    for _ in range(policy.max_accuracy_rounds + 1):
+    for _ in range(ACCURACY_ROUNDS + 1):
         try:
             spectrum = solver(Triangle(x, y), target, policy.max_level)
         except ConvergenceError as exc:
@@ -336,7 +340,7 @@ def _certify_cell(
                     d_digit=d,
                     t_radius=t_radius,
                     err=err,
-                    accuracy_met=True,
+                    accuracy_met=spectrum.accuracy_met,
                 )
             next_target = max(err * (tolerance / spread) * 0.5, 1e-13)
         else:
@@ -614,9 +618,8 @@ def format_cell_row(cell: CertifiedCell) -> str:
     return csv_row(getattr(cell, f.name) for f in _CELL_FIELDS)
 
 
-def cells_to_csv(cells: Iterable[CertifiedCell], header: bool = True) -> str:
-    lines = [",".join(CSV_COLUMNS)] if header else []
-    lines.extend(format_cell_row(cell) for cell in cells)
+def cells_to_csv(cells: Iterable[CertifiedCell]) -> str:
+    lines = [",".join(CSV_COLUMNS), *map(format_cell_row, cells)]
     return "\n".join(lines) + "\n"
 
 
@@ -651,7 +654,6 @@ class CoverageReport:
     total_points: int
     uncovered_count: int
     uncovered_sample: tuple[tuple[float, float], ...]
-    spacing: float
 
     @property
     def passed(self) -> bool:
@@ -712,7 +714,6 @@ def coverage_audit(
         total_points=nx * ny,
         uncovered_count=int(missing.shape[0]),
         uncovered_sample=sample,
-        spacing=spacing,
     )
 
 

@@ -42,6 +42,8 @@ __all__ = ["TableRow", "TableReport", "verify_integral_tables", "CSV_COLUMNS"]
 REL_TOL = 1e-6
 ABS_TOL_ZERO = 1e-9
 CONVERGENCE_TOL = 1e-10
+#: Gauss points per axis of the lower of the two quadrature rules compared.
+QUADRATURE_DEGREE = 6
 
 CSV_COLUMNS = (
     "integral_name",
@@ -72,8 +74,9 @@ class TableRow:
 
 @dataclass(frozen=True)
 class TableReport:
+    """Every table row, evaluated at quadrature degrees 6 and 7."""
+
     rows: tuple[TableRow, ...]
-    quad_degree: int
 
     @property
     def table_rows_ok(self) -> bool:
@@ -206,23 +209,17 @@ def _entries() -> list[tuple[str, Callable, float, str, str]]:
     return e
 
 
-def _check_quad_degree(quad_degree: int) -> None:
-    if quad_degree < 4:
-        raise ValueError("quad_degree below 4 cannot resolve the integrands")
+def verify_integral_tables() -> TableReport:
+    """Evaluate every table entry at quadrature degrees 6 and 7 and compare.
 
-
-def verify_integral_tables(quad_degree: int = 6) -> TableReport:
-    """Evaluate every table entry at two quadrature degrees and compare.
-
-    The value reported is from degree ``quad_degree + 1``; the difference
-    against degree ``quad_degree`` is the convergence gap, which must be
-    negligible before any disagreement can be blamed on the printed value.
+    The value reported is from degree 7; the difference against degree 6 is
+    the convergence gap, which must be negligible before any disagreement
+    can be blamed on the printed value.
     """
-    _check_quad_degree(quad_degree)
     rows = []
     for name, integrand, stated_value, kind, note in _entries():
-        lo = equilateral_integral(integrand, n=quad_degree)
-        hi = equilateral_integral(integrand, n=quad_degree + 1)
+        lo = equilateral_integral(integrand, n=QUADRATURE_DEGREE)
+        hi = equilateral_integral(integrand, n=QUADRATURE_DEGREE + 1)
         rows.append(_row(name, stated_value, hi, kind, abs(hi - lo), note))
     # Record the product-form constant itself for the report reader.
     rows.append(
@@ -235,7 +232,7 @@ def verify_integral_tables(quad_degree: int = 6) -> TableReport:
             "constant matching sum and product forms; printed identity implies 1",
         )
     )
-    return TableReport(rows=tuple(rows), quad_degree=quad_degree)
+    return TableReport(rows=tuple(rows))
 
 
 def _row(

@@ -111,7 +111,7 @@ def test_criterion_3_integral_tables(acceptance):
     )
     with acceptance(3, description) as outcome:
         t0 = time.perf_counter()
-        report = verify_integral_tables(quad_degree=6)
+        report = verify_integral_tables()
         elapsed = time.perf_counter() - t0
         assert report.rows
         ok_count = 0

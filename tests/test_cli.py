@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main()."""
 
+import argparse
 import functools
 import math
 import os
@@ -528,12 +529,6 @@ def test_lame_verify_passes_and_flags_adjudications(capsys, tmp_path):
     assert out.read_text().splitlines()[0].startswith("integral_name,")
 
 
-def test_lame_verify_rejects_bad_degree(capsys):
-    code, _, stderr = run(capsys, "lame-verify", "--quad-degree", "3")
-    assert code == EXIT_USAGE
-    assert "error:" in stderr
-
-
 def test_lame_spectrum_lists_levels(capsys):
     code, stdout, _ = run(capsys, "lame-spectrum", "--count", "5")
     assert code == EXIT_OK
@@ -728,6 +723,23 @@ def test_config_store_true_flag(capsys, tmp_path):
     )
     assert code == EXIT_OK
     assert "audit" not in stdout
+
+
+def test_config_knows_every_flag_that_takes_no_value():
+    # a key=true line for a store_true flag missing from the list would
+    # splice in "--key true", a usage error
+    subparsers = next(
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    flags = {
+        option.lstrip("-")
+        for parser in subparsers.choices.values()
+        for action in parser._actions
+        if isinstance(action, argparse._StoreTrueAction)
+        for option in action.option_strings
+    }
+    assert flags == cli._STORE_TRUE_FLAGS
 
 
 @pytest.mark.parametrize(

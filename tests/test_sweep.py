@@ -554,6 +554,20 @@ def test_sweep_accuracy_gives_up_when_solver_capped():
     assert len(calls) == 1
 
 
+def test_cell_records_the_flag_of_the_solve_that_certified_it():
+    # a solve that missed its target at the cap, but whose bar still meets
+    # the digit rule, certifies its cell, and the CSV says which solve it was
+    result = run_sweep(WINDOW, solver=make_solver(err=1e-9, met=False))
+    assert result.reason == "complete"
+    assert result.cells
+    assert not any(cell.accuracy_met for cell in result.cells)
+    text = cells_to_csv(result.cells)
+    assert all(line.endswith(",false") for line in text.splitlines()[1:])
+    back = cells_from_csv(text)
+    assert back == result.cells
+    assert replayed(back) == result.state
+
+
 def test_sweep_failure_keeps_cells_before_failing_cell():
     # flip to a sub-threshold gap from the second row upward
     def solver(triangle, target, max_level=None):
@@ -739,8 +753,6 @@ def test_window_validation():
 def test_policy_validation():
     with pytest.raises(ValueError):
         SweepPolicy(initial_accuracy=0.0)
-    with pytest.raises(ValueError):
-        SweepPolicy(max_accuracy_rounds=-1)
     with pytest.raises(ValueError):
         SweepPolicy(exclusion_radius=-1e-4)
 

@@ -82,11 +82,6 @@ def test_normalization_rows_ok(report):
             assert row.status == "ok"
 
 
-def test_rejects_low_quadrature_degree():
-    with pytest.raises(ValueError):
-        verify_integral_tables(quad_degree=3)
-
-
 def test_csv_export(report, tmp_path):
     out = tmp_path / "tables.csv"
     report.write_csv(out)
