@@ -3,8 +3,9 @@
 Uniform midpoint refinement of a triangle produces elements similar to the
 parent, so local stiffness and mass matrices are exact closed forms and the
 discrete eigenvalues converge at second order from above.  Two consecutive
-refinement levels feed a Richardson extrapolation whose coarse/fine gap
-supplies a working error estimate.  Each level's iteration starts from the
+refinement levels feed a Richardson extrapolation R, bounded by the
+observed tail of the R sequence once it converges at a steady rate and by
+the coarse/fine gap before that.  Each level's iteration starts from the
 converged block of the level below, interpolated onto the finer lattice.
 
 The error bound is empirical (an asymptotic estimate with a safety factor),
@@ -51,6 +52,18 @@ _DEGENERATE_AREA = 1e-14
 
 #: Acceptable observed convergence-rate window around the theoretical 4.
 RATE_WINDOW = (2.5, 6.0)
+
+#: Safety factor of the observed tail bar (see ``gap_with_error``).  The
+#: true error of R is 0.93-1.06 raw tails on the closed-form shapes at
+#: levels 8 and 9, and needs up to 0.79 of this bar on the window's
+#: reference table (tests/data/reference_spectra.json).
+TAIL_SAFETY = 2.0
+
+#: The tail bar's gate: each eigenvalue's last two ratios are at least
+#: TAIL_MIN_RATIO, and the larger is at most TAIL_RATIO_SPREAD times the
+#: smaller.
+TAIL_MIN_RATIO = 8.0
+TAIL_RATIO_SPREAD = 1.25
 
 #: Coarsest refinement level of the ladder in ``gap_with_error``.
 MIN_LEVEL = 4
@@ -124,11 +137,15 @@ class AssembledSystem:
 class Spectrum:
     """Extrapolated eigenvalues with empirical error bounds.
 
-    xi is diameter**2 * (lambda2 - lambda1); xi_error folds both eigenvalue
-    error estimates through the same scaling.  ``accuracy_met`` is False when
-    the level cap was reached before the target, or when a thin triangle's
-    observed convergence rate fell outside the trusted window.  ``solves``
-    records (level, unknowns, iterations) for every level solved.
+    Each error bound is its eigenvalue's observed tail bar when both
+    eigenvalues passed the tail gate, and ``tail_ratios`` then holds the
+    ratios (rho_{L-1}, rho_L) per eigenvalue that the gate read; otherwise
+    it is the Richardson bar, and ``tail_ratios`` is None (see
+    ``gap_with_error``).  xi is diameter**2 * (lambda2 - lambda1); xi_error
+    folds both eigenvalue error estimates through the same scaling.  ``accuracy_met`` is False when the level cap was reached
+    before the target, or when a thin triangle's observed convergence rate
+    fell outside the trusted window.  ``solves`` records (level, unknowns,
+    iterations) for every level solved.
     """
 
     eigenvalues: tuple[float, float]
@@ -140,6 +157,7 @@ class Spectrum:
     accuracy_met: bool
     rates: tuple[float, float] | None
     solves: tuple[tuple[int, int, int], ...] = ()
+    tail_ratios: tuple[tuple[float, float], tuple[float, float]] | None = None
 
     def __post_init__(self) -> None:
         l1, l2 = self.eigenvalues
@@ -519,11 +537,31 @@ def solve_triangle(
 def _richardson(coarse: float, fine: float) -> tuple[float, float]:
     # Second-order convergence: the remaining fine-level error is one third
     # of the observed level difference, so R = fine + (fine - coarse)/3.  The
-    # bar 2|fine - R| is twice that error scale of the un-extrapolated fine
-    # value, which over-covers the error of R itself.
+    # bar 2|fine - R| is twice the error of the un-extrapolated fine value,
+    # orders of magnitude above the error of R itself.  It bounds R until
+    # the tail bar of ``_tail_bars`` takes over, and it sets the shift.
     extrapolated = fine + (fine - coarse) / 3.0
     err = max(2.0 * abs(fine - extrapolated), 1e-15)
     return extrapolated, err
+
+
+def _tail_bars(extrapolated: list[tuple[float, float]]):
+    """Each eigenvalue's observed tail bar and its ratios (rho_{L-1}, rho_L),
+    from the last four Richardson pairs, or None unless both eigenvalues
+    pass the gate (TAIL_MIN_RATIO, TAIL_RATIO_SPREAD)."""
+    if len(extrapolated) < 4:
+        return None
+    bars, ratios = [], []
+    for r in zip(*extrapolated[-4:]):
+        d = [b - a for a, b in zip(r, r[1:])]
+        if d[1] == 0.0 or d[2] == 0.0:
+            return None
+        pair = (d[0] / d[1], d[1] / d[2])
+        if not (min(pair) >= TAIL_MIN_RATIO and max(pair) <= TAIL_RATIO_SPREAD * min(pair)):
+            return None
+        bars.append(TAIL_SAFETY * abs(d[2]) / (pair[1] - 1.0))
+        ratios.append(pair)
+    return tuple(bars), tuple(ratios)
 
 
 def _check_request(target: float, max_level: int | None) -> None:
@@ -541,16 +579,24 @@ def gap_with_error(
 ) -> Spectrum:
     """Eigenvalue pair and gap with an empirical error bound at most ``target``.
 
-    Refines until the Richardson error estimate on xi meets the target or the
-    level cap is reached.  Thin triangles additionally require the observed
-    convergence rate to stay near second order.  ``accuracy_met=False`` says
-    one of two things.  Either the target was missed at the cap: xi_error is
-    then still the ladder's Richardson bar, only wider than asked, and the
-    sweep certifies from xi - xi_error when that clears its digit rule.  Or,
-    for a thin triangle, the rate gate failed (see ``rates``): the ladder is
-    not in the regime the estimate assumes, and the bar is untrusted.  The
-    result depends only on the triangle's shape, size and the arguments, not
-    on how its vertices are given.
+    Refines until the error estimate on xi meets the target or the level cap
+    is reached.  Each level L from MIN_LEVEL + 1 on gives each eigenvalue a
+    Richardson value R_L.  Its bar is the observed tail
+    TAIL_SAFETY * |R_L - R_{L-1}| / (rho_L - 1), with rho_L = (R_{L-1} -
+    R_{L-2}) / (R_L - R_{L-1}) the eigenvalue's own ratio, when both
+    eigenvalues' last two ratios are at least TAIL_MIN_RATIO and within a
+    factor TAIL_RATIO_SPREAD of each other (``tail_ratios``); that needs
+    four R values, so level MIN_LEVEL + 4 at the earliest.  Otherwise the
+    bar is the Richardson bar 2|f_L - R_L| of the fine level's value f_L.
+    Thin triangles additionally require the observed convergence rate to
+    stay near second order.  ``accuracy_met=False`` says one of two things.
+    Either the target was missed at the cap: xi_error is then still the
+    ladder's bar, only wider than asked, and the sweep certifies from
+    xi - xi_error when that clears its digit rule.  Or, for a thin triangle,
+    the rate gate failed (see ``rates``): the ladder is not in the regime
+    the estimate assumes, and the bar is untrusted.  The result depends only
+    on the triangle's shape, size and the arguments, not on how its
+    vertices are given.
     """
     _check_request(target, max_level)
     verts = _as_vertices(triangle)
@@ -559,6 +605,7 @@ def gap_with_error(
     cap = min(max_level if max_level is not None else (11 if thin else 10), MAX_LEVEL)
 
     history: list[tuple[float, float]] = []
+    extrapolated: list[tuple[float, float]] = []
     solves: list[tuple[int, int, int]] = []
     spectrum: Spectrum | None = None
     shift = 0.0
@@ -579,6 +626,11 @@ def gap_with_error(
         # seed the next level's factorization just below the first eigenvalue;
         # the 4x error margin keeps K - shift*M positive definite
         shift = max(0.0, min(l1 - 4.0 * e1, 0.99 * l1))
+        extrapolated.append((l1, l2))
+        tail = _tail_bars(extrapolated)
+        tail_ratios = None
+        if tail is not None:
+            (e1, e2), tail_ratios = tail
         rates = _rates(history)
         xi = gap_function(l1, l2, d)
         xi_error = d * d * (e1 + e2)
@@ -595,6 +647,7 @@ def gap_with_error(
             accuracy_met=met,
             rates=rates,
             solves=tuple(solves),
+            tail_ratios=tail_ratios,
         )
         if met:
             break

@@ -18,8 +18,10 @@ from scipy.sparse.linalg import eigsh
 from trigap import eigensolver
 from trigap.eigensolver import (
     MAX_LEVEL,
+    TAIL_SAFETY,
     THIN_APEX_HEIGHT,
     ConvergenceError,
+    EigenPairs,
     Spectrum,
     assemble,
     build_mesh,
@@ -308,6 +310,59 @@ def test_spectrum_validation():
         )
 
 
+def _synthetic_ladder(ratios):
+    """Level values f_4..f_8 of two eigenvalues whose Richardson values
+    R_5..R_8 step by 0.1, then by 0.1 / rho_7, then by that / rho_8, for
+    ratios[i] = (rho_7, rho_8) of eigenvalue i."""
+    columns = []
+    for base, (rho7, rho8) in zip((50.0, 120.0), ratios):
+        steps = [0.1, 0.1 / rho7, 0.1 / rho7 / rho8]
+        r = [base - sum(steps[:k]) for k in range(4)]
+        f = [base + 1.0]
+        for value in r:  # R = f + (f - c) / 3, so f = (3 R + c) / 4
+            f.append((3.0 * value + f[-1]) / 4.0)
+        columns.append(f)
+    return {level: pair for level, pair in zip(range(4, 9), zip(*columns))}
+
+
+@pytest.mark.parametrize(
+    "ratios, tail",
+    [
+        (((16.0, 16.0), (16.0, 16.0)), True),
+        (((13.0, 16.0), (16.0, 13.0)), True),
+        (((7.9, 7.9), (7.9, 7.9)), False),
+        (((10.0, 16.0), (10.0, 16.0)), False),
+        (((16.0, 16.0), (16.0, 4.0)), False),
+    ],
+    ids=["16-16", "within-window", "below-8", "disagree", "one-eigenvalue"],
+)
+def test_tail_bar_replaces_the_richardson_bar_only_past_its_gate(ratios, tail, monkeypatch):
+    values = _synthetic_ladder(ratios)
+
+    def solve(verts, level, k=2, shift=0.0, start=None):
+        return EigenPairs(values[level], block=np.zeros((1, 5)), iterations=0)
+
+    monkeypatch.setattr(eigensolver, "solve_triangle", solve)
+    monkeypatch.setattr(eigensolver, "prolongate", lambda block, level: None)
+    # four Richardson values exist first at level 8
+    assert gap_with_error(Triangle(0.5, 0.6), 1e-12, max_level=7).tail_ratios is None
+    spectrum = gap_with_error(Triangle(0.5, 0.6), 1e-12, max_level=8)
+    assert spectrum.levels == (7, 8)
+    for i, (lam, err) in enumerate(zip(spectrum.eigenvalues, spectrum.error_bounds)):
+        f7, f8 = values[7][i], values[8][i]
+        assert lam == pytest.approx(f8 + (f8 - f7) / 3.0, rel=1e-14)
+        rho7, rho8 = ratios[i]
+        if tail:
+            last = 0.1 / rho7 / rho8
+            assert err == pytest.approx(TAIL_SAFETY * last / (rho8 - 1.0), rel=1e-9)
+            assert spectrum.tail_ratios[i] == pytest.approx((rho7, rho8), rel=1e-9)
+        else:
+            assert err == pytest.approx(2.0 * abs(f8 - f7) / 3.0, rel=1e-12)
+    if not tail:
+        assert spectrum.tail_ratios is None
+    assert spectrum.xi_error == pytest.approx(sum(spectrum.error_bounds), rel=1e-15)
+
+
 def _elementwise_assembly(mesh):
     """Reference P1 assembly: per-element local matrices summed over all
     nodes, then restricted to the interior; also the unrestricted mass sum."""
@@ -471,9 +526,11 @@ def test_error_bounds_enclose_closed_form_spectra(name, angle, shift, scale, ord
     base = np.array(Triangle(*apex).vertices)[order]
     vertices = scale * base @ np.array([[c, s], [-s, c]]) + shift
     exact = tuple(lam / scale**2 for lam in exact)
-    for cap in range(5, 9):
+    for cap in range(5, 10):
         spectrum = gap_with_error(vertices, 1e-12, max_level=cap)
         assert spectrum.levels == (cap - 1, cap)
+        # levels 8 and 9 are bounded by the observed tail
+        assert (spectrum.tail_ratios is not None) == (cap >= 8)
         for lam, err, ref in zip(spectrum.eigenvalues, spectrum.error_bounds, exact):
             assert abs(lam - ref) <= err
         exact_xi = spectrum.diameter**2 * (exact[1] - exact[0])

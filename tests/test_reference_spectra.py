@@ -71,3 +71,6 @@ def test_every_bar_at_caps_6_to_9_encloses_the_reference(entry, monkeypatch):
     assert sorted(by_cap) == [5, 6, 7, 8, 9]
     misses = {cap: _encloses(by_cap[cap], entry) for cap in range(6, 10)}
     assert not any(misses.values()), misses
+    # at cap 9 every shape's last two ratios pass the gate, so the bar
+    # checked there is the observed tail with its safety factor
+    assert by_cap[9].tail_ratios is not None

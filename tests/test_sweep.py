@@ -915,7 +915,7 @@ def test_real_solver_small_window():
 
 
 def test_real_solver_multigrid_levels_ignore_the_thread_count():
-    # every cell re-solves to levels (8, 9); level 9 runs multigrid LOBPCG,
+    # every cell re-solves to levels (7, 8); level 8 runs multigrid LOBPCG,
     # whose dense products use BLAS, at one thread inside every run
     window = SweepWindow(0.5, 0.5005, 0.70, 0.7005)
     policy = SweepPolicy(initial_accuracy=0.25)
@@ -930,12 +930,12 @@ def test_real_solver_multigrid_levels_ignore_the_thread_count():
 
         result = run_sweep(window, policy=policy, solver=solver, threads=threads)
         assert result.reason == "complete"
-        assert (8, 9) in {levels for _, levels in last.values()}
+        assert (7, 8) in {levels for _, levels in last.values()}
         csv[threads] = cells_to_csv(result.cells)
     assert csv[2] == csv[1]
-    # outside a run BLAS has its default thread count: a level-9 cell's
+    # outside a run BLAS has its default thread count: a level-8 cell's
     # final solve gives the same numbers there
-    cell = next(c for c in result.cells if last[c.x, c.y][1] == (8, 9))
+    cell = next(c for c in result.cells if last[c.x, c.y][1] == (7, 8))
     target = last[cell.x, cell.y][0]
     direct = gap_with_error(Triangle(cell.x, cell.y), target, max_level=None)
     assert (direct.lambda1, direct.lambda2) == (cell.lambda1, cell.lambda2)
