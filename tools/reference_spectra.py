@@ -137,21 +137,18 @@ def reference_bar(r: list[float]) -> tuple[list[float], float]:
 
 
 def reference(group: str, apex: tuple[float, float]) -> dict:
+    """The table entry of one triangle."""
     angle = smallest_angle(apex)
     top = TOP_LEVEL if angle >= eigensolver.MULTIGRID_MIN_ANGLE else FACTOR_TOP_LEVEL
     t0 = time.perf_counter()
     values = ladder(apex, top)
-    return summary(group, apex, values, time.perf_counter() - t0)
-
-
-def summary(group: str, apex: tuple[float, float], values, seconds: float) -> dict:
-    """The table entry of one ladder's level values."""
+    seconds = time.perf_counter() - t0
     d = diameter(Triangle(*apex).vertices)
     entry = {
         "group": group,
         "apex": list(apex),
-        "smallest_angle": smallest_angle(apex),
-        "top_level": eigensolver.MIN_LEVEL + len(values) - 1,
+        "smallest_angle": angle,
+        "top_level": top,
         "diameter": d,
         "levels": [list(v) for v in values],
     }
