@@ -386,7 +386,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     with _open_csv(args.out, header) if args.out else nullcontext() as out_fh:
         for h, triangle in zip(heights, triangles):
             try:
-                coarse = gap_with_error(triangle, 1e18, max_level=7)
+                coarse = gap_with_error(triangle, 1e18, max_level=min(7, args.max_level))
                 target = max(args.accuracy * coarse.xi, 1e-6)
                 s = gap_with_error(triangle, target, max_level=args.max_level)
             except ConvergenceError as exc:

@@ -141,11 +141,12 @@ class Spectrum:
     eigenvalues passed the tail gate, and ``tail_ratios`` then holds the
     ratios (rho_{L-1}, rho_L) per eigenvalue that the gate read; otherwise
     it is the Richardson bar, and ``tail_ratios`` is None (see
-    ``gap_with_error``).  xi is diameter**2 * (lambda2 - lambda1); xi_error
-    folds both eigenvalue error estimates through the same scaling.  ``accuracy_met`` is False when the level cap was reached
-    before the target, or when a thin triangle's observed convergence rate
-    fell outside the trusted window.  ``solves`` records (level, unknowns,
-    iterations) for every level solved.
+    ``gap_with_error``).  Both bounds are infinite when a thin triangle
+    failed its rate gate: the ladder has no bar it trusts.  xi is
+    diameter**2 * (lambda2 - lambda1); xi_error folds both eigenvalue error
+    estimates through the same scaling.  ``accuracy_met`` is xi_error <=
+    target.  ``solves`` records (level, unknowns, iterations) for every
+    level solved.
     """
 
     eigenvalues: tuple[float, float]
@@ -155,7 +156,6 @@ class Spectrum:
     xi: float
     xi_error: float
     accuracy_met: bool
-    rates: tuple[float, float] | None
     solves: tuple[tuple[int, int, int], ...] = ()
     tail_ratios: tuple[tuple[float, float], tuple[float, float]] | None = None
 
@@ -568,8 +568,8 @@ def _check_request(target: float, max_level: int | None) -> None:
     """Reject a target (NaN too) or a level cap that no solve could serve."""
     if not target > 0.0:
         raise ValueError("target accuracy must be positive")
-    if max_level is not None and max_level < MIN_LEVEL + 1:
-        raise ValueError(f"max_level must exceed the first level {MIN_LEVEL}")
+    if max_level is not None and not MIN_LEVEL < max_level <= MAX_LEVEL:
+        raise ValueError(f"max_level must lie in [{MIN_LEVEL + 1}, {MAX_LEVEL}]")
 
 
 def gap_with_error(
@@ -588,21 +588,21 @@ def gap_with_error(
     factor TAIL_RATIO_SPREAD of each other (``tail_ratios``); that needs
     four R values, so level MIN_LEVEL + 4 at the earliest.  Otherwise the
     bar is the Richardson bar 2|f_L - R_L| of the fine level's value f_L.
-    Thin triangles additionally require the observed convergence rate to
-    stay near second order.  ``accuracy_met=False`` says one of two things.
-    Either the target was missed at the cap: xi_error is then still the
-    ladder's bar, only wider than asked, and the sweep certifies from
-    xi - xi_error when that clears its digit rule.  Or, for a thin triangle,
-    the rate gate failed (see ``rates``): the ladder is not in the regime
-    the estimate assumes, and the bar is untrusted.  The result depends only
-    on the triangle's shape, size and the arguments, not on how its
-    vertices are given.
+    A thin triangle (apex height at most THIN_APEX_HEIGHT) also needs both
+    raw rates, ratios of its last two level differences, in RATE_WINDOW;
+    where they fall outside, the ladder is not in the regime the estimate
+    assumes, and both bars are infinite.  ``accuracy_met`` is xi_error <=
+    target.  When False, the cap was reached first: xi_error is the
+    ladder's bar, only wider than asked (or infinite), and the sweep
+    certifies from xi - xi_error when that clears its digit rule.  The
+    result depends only on the triangle's shape, size and the arguments,
+    not on how its vertices are given.
     """
     _check_request(target, max_level)
     verts = _as_vertices(triangle)
     d = diameter(verts)
     thin = 2.0 * abs(_signed_area(verts)) / (d * d) <= THIN_APEX_HEIGHT
-    cap = min(max_level if max_level is not None else (11 if thin else 10), MAX_LEVEL)
+    cap = max_level if max_level is not None else (11 if thin else 10)
 
     history: list[tuple[float, float]] = []
     extrapolated: list[tuple[float, float]] = []
@@ -631,41 +631,34 @@ def gap_with_error(
         tail_ratios = None
         if tail is not None:
             (e1, e2), tail_ratios = tail
-        rates = _rates(history)
-        xi = gap_function(l1, l2, d)
+        if thin and not _rates_trusted(history):
+            e1 = e2 = math.inf
         xi_error = d * d * (e1 + e2)
-        met = xi_error <= target
-        if thin:
-            met = met and _rates_trusted(rates)
         spectrum = Spectrum(
             eigenvalues=(l1, l2),
             error_bounds=(e1, e2),
             levels=(level - 1, level),
             diameter=d,
-            xi=xi,
+            xi=gap_function(l1, l2, d),
             xi_error=xi_error,
-            accuracy_met=met,
-            rates=rates,
+            accuracy_met=xi_error <= target,
             solves=tuple(solves),
             tail_ratios=tail_ratios,
         )
-        if met:
+        if spectrum.accuracy_met:
             break
     assert spectrum is not None
     return spectrum
 
 
-def _rates(history: list[tuple[float, float]]) -> tuple[float, float] | None:
+def _rates_trusted(history: list[tuple[float, float]]) -> bool:
+    """Whether each eigenvalue's raw rate, the ratio of its last two level
+    differences, lies in RATE_WINDOW; three levels are needed."""
     if len(history) < 3:
-        return None
-    out = []
-    for i in range(2):
-        d_prev = history[-3][i] - history[-2][i]
-        d_last = history[-2][i] - history[-1][i]
-        out.append(d_prev / d_last if d_last > 0.0 else math.inf)
-    return (out[0], out[1])
-
-
-def _rates_trusted(rates: tuple[float, float] | None) -> bool:
+        return False
     lo, hi = RATE_WINDOW
-    return rates is not None and all(lo <= r <= hi for r in rates)
+    for coarse, middle, fine in zip(*history[-3:]):
+        d_prev, d_last = coarse - middle, middle - fine
+        if not (d_last > 0.0 and lo <= d_prev / d_last <= hi):
+            return False
+    return True

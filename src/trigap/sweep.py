@@ -111,7 +111,8 @@ _OPENBLAS_LINKS = (
 class SweepFailure(Exception):
     """Certification cannot proceed at a specific grid cell.
 
-    reason is one of "margin" (gap not certifiably above the threshold),
+    reason is one of "margin" (gap not certifiably above the threshold,
+    which includes a solve with no trusted bar: an infinite xi_error),
     "accuracy" (the digit rule could not be met at any allowed solver
     accuracy), "radius" (no positive truncatable radius), or "solver" (the
     eigensolver raised ConvergenceError).
@@ -186,9 +187,8 @@ class CertifiedCell:
     are checked exactly, the second in rational arithmetic; a raw radius
     t_prime >= 1 must carry the clamp n=1, d=9 (radius 0.9) instead.
     accuracy_met is the certifying spectrum's own flag (see gap_with_error):
-    false when that solve missed its target at the level cap, or failed a
-    thin triangle's rate gate, and the cell was certified from its error
-    bar all the same.
+    false when that solve missed its target at the level cap, and the cell
+    was certified from its error bar all the same.
     """
 
     j: int

@@ -4,13 +4,15 @@ Each test exercises one observable guarantee at a pinned tolerance and
 records a one-line verdict; pytest prints the collected lines in the
 "acceptance criteria" terminal section at the end of the run.
 
-Criterion 7 fails by design on this hardware and prints the measurement
-trail: the digit-accuracy rule tightens one decade per radius decade, but
-the eigensolver error floor at its feasible refinement cap does not move,
-so certification radii below 1e-4 (reached ~1.3e-3 from the equilateral
-apex, still outside the 4e-4 exclusion ball) are unattainable, and the
-full window would take hours besides.  The machinery itself is verified
-on subwindows on both sides of that line.
+Criterion 7 fails by design: the full window has not been run end to end,
+and the test still asserts that the corridor just below the exclusion ball
+stops at an accuracy failure.  That was true while each bar was the
+Richardson bar, whose floor at the level-(9,10) cap (2.1e-3 in xi) lay
+above the ~2.9e-4 the digit rule needs there.  With the observed-tail bar
+the corridor completes at level 8, so the test now fails at that
+assertion, before its printout, which still describes the old floor.  It
+is to be rewritten to assert the criterion itself once the full window
+certifies.  The sweep machinery is verified on a subwindow.
 """
 
 import math

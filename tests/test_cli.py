@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from trigap import cli, sweep
+from trigap import cli, eigensolver, sweep
 from trigap.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from trigap.eigensolver import ConvergenceError, Spectrum, gap_with_error
 from trigap.geometry import Triangle
@@ -64,6 +64,18 @@ def test_eigen_rejects_unusable_level_cap(capsys):
     code, _, stderr = run(capsys, "eigen", "--apex", "0.5,0.4", "--max-level", "2")
     assert code == EXIT_USAGE
     assert "error:" in stderr
+
+
+def test_eigen_refuses_a_level_cap_above_max_level(capsys, monkeypatch):
+    # refused before any solve, not clamped to MAX_LEVEL
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_triangle called for a rejected request")
+
+    monkeypatch.setattr(eigensolver, "solve_triangle", no_solve)
+    code, stdout, stderr = run(capsys, "eigen", "--apex", "0.5,0.4", "--max-level", "13")
+    assert code == EXIT_USAGE
+    assert "error: max_level" in stderr
+    assert stdout == ""
 
 
 def test_eigen_csv_fields_are_the_library_values(capsys, tmp_path):
@@ -390,6 +402,7 @@ def test_sweep_rejects_bad_threads(capsys, tmp_path):
     [
         ("--threads", "0"),
         ("--max-level", "4"),
+        ("--max-level", "13"),
         ("--audit-spacing", "0"),
         ("--audit-spacing", "-0.0001"),
         ("--max-rows", "-1"),
@@ -404,6 +417,7 @@ def test_sweep_rejects_bad_threads(capsys, tmp_path):
     ids=[
         "threads",
         "max_level",
+        "max_level_above_cap",
         "zero_spacing",
         "negative_spacing",
         "negative_rows",
@@ -482,6 +496,29 @@ def test_scaling_csv_fields_are_the_library_values(capsys, tmp_path):
     assert [line.split(",") for line in lines[1:]] == rows
 
 
+@pytest.mark.parametrize("max_level, caps", [("5", [5, 5, 5, 5]), ("10", [7, 10, 7, 10])])
+def test_scaling_coarse_pass_keeps_to_the_level_cap(capsys, monkeypatch, max_level, caps):
+    requested = []
+
+    def solver(triangle, target, max_level=None):
+        requested.append(max_level)
+        return Spectrum(
+            eigenvalues=(53.0, 131.0),
+            error_bounds=(1e-9, 1e-9),
+            levels=(max_level - 1, max_level),
+            diameter=1.0,
+            xi=78.0,
+            xi_error=2e-9,
+            accuracy_met=True,
+        )
+
+    monkeypatch.setattr(cli, "gap_with_error", solver)
+    code, _, _ = run(capsys, "scaling", "--heights", "0.05,0.02", "--max-level", max_level)
+    assert code == EXIT_OK
+    # a coarse pass, then the measured one, per height
+    assert requested == caps
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -495,6 +532,7 @@ def test_scaling_csv_fields_are_the_library_values(capsys, tmp_path):
         ("--max-level", "2"),  # below the minimum refinement
         ("--heights", "0.1,nan"),
         ("--heights", "inf,0.1"),
+        ("--max-level", "13"),  # above MAX_LEVEL
     ],
 )
 def test_scaling_usage_errors(capsys, tmp_path, argv):
@@ -653,7 +691,6 @@ def test_plot_grid_writes_an_empty_field_for_a_missing_value(
             xi=78.0,
             xi_error=2e-9,
             accuracy_met=True,
-            rates=(4.0, 4.0),
         )
 
     monkeypatch.setattr(cli, "gap_grid", functools.partial(sweep.gap_grid, solver=solver))
@@ -681,8 +718,16 @@ def test_plot_grid_writes_an_empty_field_for_a_missing_value(
         ("--accuracy", "0"),
         ("--accuracy", "-1e-3"),
         ("--max-level", "4"),
+        ("--max-level", "13"),
     ],
-    ids=["tau_steps", "nu_steps", "zero_accuracy", "negative_accuracy", "max_level"],
+    ids=[
+        "tau_steps",
+        "nu_steps",
+        "zero_accuracy",
+        "negative_accuracy",
+        "max_level",
+        "max_level_above_cap",
+    ],
 )
 def test_plot_grid_rejects_bad_steps(capsys, tmp_path, argv):
     out = tmp_path / "grid.csv"

@@ -18,6 +18,7 @@ from scipy.sparse.linalg import eigsh
 from trigap import eigensolver
 from trigap.eigensolver import (
     MAX_LEVEL,
+    RATE_WINDOW,
     TAIL_SAFETY,
     THIN_APEX_HEIGHT,
     ConvergenceError,
@@ -266,6 +267,9 @@ def test_gap_with_error_validates_inputs():
         gap_with_error(Triangle(0.5, 0.5), 0.0)
     with pytest.raises(ValueError):
         gap_with_error(Triangle(0.5, 0.5), 1.0, max_level=4)
+    # a cap above the memory guard is refused, not clamped
+    with pytest.raises(ValueError, match="max_level"):
+        gap_with_error(Triangle(0.5, 0.5), 1.0, max_level=MAX_LEVEL + 1)
 
 
 @pytest.mark.parametrize(
@@ -288,8 +292,10 @@ def test_nan_target_is_rejected_before_any_solve(make_request, monkeypatch):
 
 
 def test_thin_triangle_flags_unmet_accuracy_at_low_cap():
-    # rate gating: the thin regime refuses to certify from four coarse solves
+    # rate gating: four coarse solves of a thin triangle give no trusted bar
     spectrum = gap_with_error(Triangle(0.5, 0.02), 1e-6, max_level=7)
+    assert spectrum.error_bounds == (math.inf, math.inf)
+    assert spectrum.xi_error == math.inf
     assert not spectrum.accuracy_met
     assert spectrum.eigenvalues[0] > 0.0
     assert spectrum.xi > 0.0
@@ -306,7 +312,6 @@ def test_spectrum_validation():
             xi=1.0,
             xi_error=1e-3,
             accuracy_met=True,
-            rates=(4.0, 4.0),
         )
 
 
@@ -496,13 +501,75 @@ def test_thin_gate_ignores_how_vertices_are_given():
     moved = v @ np.array([[c, s], [-s, c]]) + (2.0, -1.0)
     variants = [tri, tri.vertices, moved, v[[2, 0, 1]]]
     results = [gap_with_error(x, 1e4, max_level=7) for x in variants]
-    # the rate gate refuses to certify a thin triangle from coarse levels
+    # the rate gate leaves a thin triangle's coarse levels with no bar
     assert not results[0].accuracy_met
     assert results[0].levels == (6, 7)
     for r in results[1:]:
         assert r.accuracy_met == results[0].accuracy_met
+        assert r.error_bounds == results[0].error_bounds
         assert r.levels == results[0].levels
-        assert r.rates == pytest.approx(results[0].rates, rel=1e-8)
+        assert r.xi == pytest.approx(results[0].xi, rel=1e-8)
+
+
+def test_thin_ladder_stops_at_the_first_level_past_its_rate_gate(monkeypatch):
+    history = []
+    solve = eigensolver.solve_triangle
+
+    def recording(*args, **kwargs):
+        solved = solve(*args, **kwargs)
+        history.append(solved.values)
+        return solved
+
+    def raw_rates(levels):
+        return [(a - b) / (b - c) for a, b, c in zip(*levels[-3:])]
+
+    monkeypatch.setattr(eigensolver, "solve_triangle", recording)
+    spectrum = gap_with_error(Triangle(0.5, 0.05), 1e3, max_level=9)
+    assert Triangle(0.5, 0.05).apex_y <= THIN_APEX_HEIGHT
+    assert spectrum.levels == (8, 9)
+    assert all(math.isfinite(e) for e in spectrum.error_bounds)
+    assert spectrum.accuracy_met
+    assert raw_rates(history) == pytest.approx([3.06, 3.05], abs=0.01)
+    # level 8's rates lay outside the window, so its bar was infinite
+    lo, hi = RATE_WINDOW
+    assert not all(lo <= r <= hi for r in raw_rates(history[:-1]))
+
+
+def _geometric_ladder(ratio):
+    """Level values f_4..f_7 of two eigenvalues near (50, 131) whose level
+    differences start at 1e-3 and shrink ``ratio``-fold per level."""
+    tails = {level: 1e-3 * ratio ** (5 - level) / (ratio - 1.0) for level in range(4, 8)}
+    return {level: (50.0 + tail, 131.0 + tail) for level, tail in tails.items()}
+
+
+@pytest.mark.parametrize(
+    "apex, ratio, levels",
+    [((0.5, 0.04), 1.7, None), ((0.5, 0.04), 4.0, (5, 6)), ((0.5, 0.6), 1.7, (4, 5))],
+    ids=["thin-slow", "thin-second-order", "not-thin-slow"],
+)
+def test_thin_rate_gate_leaves_no_bar(apex, ratio, levels, monkeypatch):
+    values = _geometric_ladder(ratio)
+
+    def solve(verts, level, k=2, shift=0.0, start=None):
+        return EigenPairs(values[level], block=np.zeros((1, 5)), iterations=0)
+
+    monkeypatch.setattr(eigensolver, "solve_triangle", solve)
+    monkeypatch.setattr(eigensolver, "prolongate", lambda block, level: None)
+    spectrum = gap_with_error(Triangle(*apex), 0.25, max_level=7)
+    if levels is None:
+        # the rates stay at 1.7 up to the cap: no level has a trusted bar
+        assert spectrum.levels == (6, 7)
+        assert spectrum.error_bounds == (math.inf, math.inf)
+        assert spectrum.xi_error == math.inf
+        assert not spectrum.accuracy_met
+    else:
+        # a thin triangle needs three levels for its rates, others two
+        assert spectrum.levels == levels
+        coarse, fine = values[levels[0]], values[levels[1]]
+        assert spectrum.error_bounds == pytest.approx(
+            [2.0 * (c - f) / 3.0 for c, f in zip(coarse, fine)], rel=1e-9
+        )
+        assert spectrum.accuracy_met
 
 
 _CLOSED_FORM = {

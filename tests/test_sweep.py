@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trigap.eigensolver import ConvergenceError, Spectrum, gap_with_error
+from trigap import eigensolver
+from trigap.eigensolver import ConvergenceError, EigenPairs, Spectrum, gap_with_error
 from trigap.geometry import EQUILATERAL_APEX, GAP_THRESHOLD, Triangle
 from trigap.sweep import (
     CONTINUITY_FACTOR,
@@ -49,7 +50,6 @@ def make_solver(lam1=53.0, lam2=131.0, err=1e-9, met=True):
             xi=lam2 - lam1,
             xi_error=err,
             accuracy_met=met,
-            rates=(4.0, 4.0),
         )
 
     return solver
@@ -566,6 +566,25 @@ def test_cell_records_the_flag_of_the_solve_that_certified_it():
     back = cells_from_csv(text)
     assert back == result.cells
     assert replayed(back) == result.state
+
+
+def test_thin_ladder_that_fails_its_rate_gate_certifies_no_cell(monkeypatch):
+    # level differences shrink 1.7-fold, far from second order: the ladder's
+    # bar is narrow enough for the digit rule, but a thin triangle's rate
+    # gate leaves it no trusted bar, so the first cell is refused
+    def solve(verts, level, k=2, shift=0.0, start=None):
+        tail = 1e-3 * 1.7 ** (5 - level) / 0.7
+        return EigenPairs((50.0 + tail, 131.0 + tail), block=np.zeros((1, 5)), iterations=0)
+
+    monkeypatch.setattr(eigensolver, "solve_triangle", solve)
+    monkeypatch.setattr(eigensolver, "prolongate", lambda block, level: None)
+    window = SweepWindow(0.5, 0.5001, 0.04, 0.0401)
+    result = run_sweep(window, SweepPolicy(max_level=7), max_rows=1)
+    assert result.cells == ()
+    assert result.reason == "failed"
+    assert result.failure.reason == "margin"
+    assert (result.failure.j, result.failure.i) == (0, 0)
+    assert result.failure.err == math.inf
 
 
 def test_sweep_failure_keeps_cells_before_failing_cell():
