@@ -5,8 +5,10 @@ parent, so local stiffness and mass matrices are exact closed forms and the
 discrete eigenvalues converge at second order from above.  Two consecutive
 refinement levels feed a Richardson extrapolation R, bounded by the
 observed tail of the R sequence once it converges at a steady rate and by
-the coarse/fine gap before that.  Each level's iteration starts from the
-converged block of the level below, interpolated onto the finer lattice.
+the coarse/fine gap before that, where the raw convergence rate shows
+second order; elsewhere the bound is infinite.  Each level's iteration
+starts from the converged block of the level below, interpolated onto the
+finer lattice.
 
 The error bound is empirical (an asymptotic estimate with a safety factor),
 not a mathematically rigorous enclosure; every result carries it as such.
@@ -38,15 +40,10 @@ __all__ = [
     "prolongate",
     "gap_with_error",
     "MAX_LEVEL",
-    "THIN_APEX_HEIGHT",
 ]
 
 #: Hard refinement cap (memory guard): 4**12 elements.
 MAX_LEVEL = 12
-
-#: Normalized apex height 2*area/diameter**2 at or below which a triangle is
-#: treated as thin (rate check enforced); in the chart this is ``apex_y``.
-THIN_APEX_HEIGHT = 0.05
 
 _DEGENERATE_AREA = 1e-14
 
@@ -141,8 +138,8 @@ class Spectrum:
     eigenvalues passed the tail gate, and ``tail_ratios`` then holds the
     ratios (rho_{L-1}, rho_L) per eigenvalue that the gate read; otherwise
     it is the Richardson bar, and ``tail_ratios`` is None (see
-    ``gap_with_error``).  Both bounds are infinite when a thin triangle
-    failed its rate gate: the ladder has no bar it trusts.  xi is
+    ``gap_with_error``).  Both bounds are infinite when the ladder's raw
+    rates lie outside RATE_WINDOW: it has no bar it trusts.  xi is
     diameter**2 * (lambda2 - lambda1); xi_error folds both eigenvalue error
     estimates through the same scaling.  ``accuracy_met`` is xi_error <=
     target.  ``solves`` records (level, unknowns, iterations) for every
@@ -202,25 +199,20 @@ def _as_vertices(triangle) -> np.ndarray:
     return v
 
 
-def _signed_area(v: np.ndarray) -> float:
-    """Signed area of the vertex triple; rejects degenerate triangles."""
-    e1, e2 = v[1] - v[0], v[2] - v[0]
-    signed = 0.5 * float(e1[0] * e2[1] - e1[1] * e2[0])
-    if abs(signed) < _DEGENERATE_AREA:
-        raise ValueError(f"degenerate triangle, area {abs(signed):.3e}")
-    return signed
-
-
 def build_mesh(triangle, level: int) -> Mesh:
     """Subdivide a triangle into 4**level congruence classes of itself.
 
     Positive orientation is enforced by swapping two vertices if the input
-    is clockwise.
+    is clockwise; a degenerate triangle is rejected.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {level}")
     v = _as_vertices(triangle)
-    if _signed_area(v) < 0.0:
+    e1, e2 = v[1] - v[0], v[2] - v[0]
+    signed = 0.5 * float(e1[0] * e2[1] - e1[1] * e2[0])
+    if abs(signed) < _DEGENERATE_AREA:
+        raise ValueError(f"degenerate triangle, area {abs(signed):.3e}")
+    if signed < 0.0:
         v = v[[0, 2, 1]]
     return Mesh(corners=v, level=level)
 
@@ -565,44 +557,36 @@ def _tail_bars(extrapolated: list[tuple[float, float]]):
 
 
 def _check_request(target: float, max_level: int | None) -> None:
-    """Reject a target (NaN too) or a level cap that no solve could serve."""
-    if not target > 0.0:
-        raise ValueError("target accuracy must be positive")
+    """Reject a target (NaN and inf too) or a level cap that no solve could serve."""
+    if not 0.0 < target < math.inf:
+        raise ValueError("target accuracy must be positive and finite")
     if max_level is not None and not MIN_LEVEL < max_level <= MAX_LEVEL:
         raise ValueError(f"max_level must lie in [{MIN_LEVEL + 1}, {MAX_LEVEL}]")
 
 
-def gap_with_error(
-    triangle,
-    target: float,
-    max_level: int | None = None,
-) -> Spectrum:
+def gap_with_error(triangle, target: float, max_level: int | None = None) -> Spectrum:
     """Eigenvalue pair and gap with an empirical error bound at most ``target``.
 
     Refines until the error estimate on xi meets the target or the level cap
-    is reached.  Each level L from MIN_LEVEL + 1 on gives each eigenvalue a
-    Richardson value R_L.  Its bar is the observed tail
-    TAIL_SAFETY * |R_L - R_{L-1}| / (rho_L - 1), with rho_L = (R_{L-1} -
-    R_{L-2}) / (R_L - R_{L-1}) the eigenvalue's own ratio, when both
-    eigenvalues' last two ratios are at least TAIL_MIN_RATIO and within a
-    factor TAIL_RATIO_SPREAD of each other (``tail_ratios``); that needs
-    four R values, so level MIN_LEVEL + 4 at the earliest.  Otherwise the
-    bar is the Richardson bar 2|f_L - R_L| of the fine level's value f_L.
-    A thin triangle (apex height at most THIN_APEX_HEIGHT) also needs both
-    raw rates, ratios of its last two level differences, in RATE_WINDOW;
-    where they fall outside, the ladder is not in the regime the estimate
-    assumes, and both bars are infinite.  ``accuracy_met`` is xi_error <=
-    target.  When False, the cap was reached first: xi_error is the
-    ladder's bar, only wider than asked (or infinite), and the sweep
-    certifies from xi - xi_error when that clears its digit rule.  The
-    result depends only on the triangle's shape, size and the arguments,
-    not on how its vertices are given.
+    (10 when ``max_level`` is None) is reached.  A bar exists only where both
+    eigenvalues' raw rates, the ratios of their last two level differences,
+    lie in RATE_WINDOW, so from level MIN_LEVEL + 2 on; elsewhere the ladder
+    is not in the regime the estimate assumes, and both bars are infinite.
+    Each level L from MIN_LEVEL + 1 on gives each eigenvalue a Richardson
+    value R_L.  Its bar is the observed tail TAIL_SAFETY * |R_L - R_{L-1}| /
+    (rho_L - 1), with rho_L = (R_{L-1} - R_{L-2}) / (R_L - R_{L-1}), when
+    both eigenvalues' last two ratios pass the tail gate (TAIL_MIN_RATIO,
+    TAIL_RATIO_SPREAD; ``tail_ratios``), so from level MIN_LEVEL + 4 on,
+    and the Richardson bar 2|f_L - R_L| of the fine level's value otherwise.
+    ``accuracy_met`` is xi_error <= target; when False, the cap came first,
+    and the sweep certifies from xi - xi_error when that clears its digit
+    rule.  Of the shape only the diameter is read here, so the result does
+    not depend on how the vertices are given.
     """
     _check_request(target, max_level)
     verts = _as_vertices(triangle)
     d = diameter(verts)
-    thin = 2.0 * abs(_signed_area(verts)) / (d * d) <= THIN_APEX_HEIGHT
-    cap = max_level if max_level is not None else (11 if thin else 10)
+    cap = 10 if max_level is None else max_level
 
     history: list[tuple[float, float]] = []
     extrapolated: list[tuple[float, float]] = []
@@ -620,18 +604,13 @@ def gap_with_error(
         solves.append((level, block.shape[0], solved.iterations))
         if len(history) < 2:
             continue
-        coarse, fine = history[-2], history[-1]
-        l1, e1 = _richardson(coarse[0], fine[0])
-        l2, e2 = _richardson(coarse[1], fine[1])
+        (l1, e1), (l2, e2) = map(_richardson, history[-2], history[-1])
         # seed the next level's factorization just below the first eigenvalue;
         # the 4x error margin keeps K - shift*M positive definite
         shift = max(0.0, min(l1 - 4.0 * e1, 0.99 * l1))
         extrapolated.append((l1, l2))
-        tail = _tail_bars(extrapolated)
-        tail_ratios = None
-        if tail is not None:
-            (e1, e2), tail_ratios = tail
-        if thin and not _rates_trusted(history):
+        (e1, e2), tail_ratios = _tail_bars(extrapolated) or ((e1, e2), None)
+        if not _rates_trusted(history):
             e1 = e2 = math.inf
         xi_error = d * d * (e1 + e2)
         spectrum = Spectrum(
@@ -653,7 +632,7 @@ def gap_with_error(
 
 def _rates_trusted(history: list[tuple[float, float]]) -> bool:
     """Whether each eigenvalue's raw rate, the ratio of its last two level
-    differences, lies in RATE_WINDOW; three levels are needed."""
+    differences, lies in RATE_WINDOW (every bar's gate); three levels are needed."""
     if len(history) < 3:
         return False
     lo, hi = RATE_WINDOW

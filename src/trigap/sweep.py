@@ -112,7 +112,7 @@ class SweepFailure(Exception):
     """Certification cannot proceed at a specific grid cell.
 
     reason is one of "margin" (gap not certifiably above the threshold,
-    which includes a solve with no trusted bar: an infinite xi_error),
+    which includes any ladder with no trusted bar: an infinite xi_error),
     "accuracy" (the digit rule could not be met at any allowed solver
     accuracy), "radius" (no positive truncatable radius), or "solver" (the
     eigensolver raised ConvergenceError).
@@ -186,9 +186,11 @@ class CertifiedCell:
     The truncation invariants t_radius = d 10^-n <= t_prime < (d+1) 10^-n
     are checked exactly, the second in rational arithmetic; a raw radius
     t_prime >= 1 must carry the clamp n=1, d=9 (radius 0.9) instead.
-    accuracy_met is the certifying spectrum's own flag (see gap_with_error):
-    false when that solve missed its target at the level cap, and the cell
-    was certified from its error bar all the same.
+    A_sum is lambda1 + lambda2, and t_prime the conservative radius
+    certification_radius(xi - err, A_sum + err, y); cells_from_csv checks
+    both.  accuracy_met is the certifying spectrum's own flag (see
+    gap_with_error): false when that solve missed its target at the level
+    cap, and the cell was certified from its finite error bar all the same.
     """
 
     j: int
@@ -633,7 +635,12 @@ _PARSE = {"int": int, "float": float, "bool": _parse_bool}
 
 
 def cells_from_csv(text: str) -> tuple[CertifiedCell, ...]:
-    """Parse cells written by cells_to_csv; invariants re-checked on load."""
+    """Parse cells written by cells_to_csv; invariants re-checked on load.
+
+    A row's A_sum and t_prime must be what its own columns give, exactly:
+    17 significant digits round-trip, and the formula makes no
+    transcendental call.
+    """
     cells: list[CertifiedCell] = []
     for line in text.splitlines():
         line = line.strip()
@@ -643,7 +650,16 @@ def cells_from_csv(text: str) -> tuple[CertifiedCell, ...]:
         if len(parts) != len(CSV_COLUMNS):
             raise ValueError(f"malformed cell row: {line!r}")
         values = (_PARSE[f.type](part) for f, part in zip(_CELL_FIELDS, parts))
-        cells.append(CertifiedCell(*values))
+        cell = CertifiedCell(*values)
+        where = f"at cell j={cell.j}, i={cell.i}"
+        if cell.A_sum != cell.lambda1 + cell.lambda2:
+            raise ValueError(f"A_sum {cell.A_sum!r} is not lambda1 + lambda2 {where}")
+        if not cell.xi - cell.err > GAP_THRESHOLD:
+            raise ValueError(f"xi - err does not exceed the threshold {GAP_THRESHOLD} {where}")
+        t_prime = certification_radius(cell.xi - cell.err, cell.A_sum + cell.err, cell.y)
+        if cell.t_prime != t_prime:
+            raise ValueError(f"t_prime {cell.t_prime!r} is not the radius {t_prime!r} {where}")
+        cells.append(cell)
     return tuple(cells)
 
 

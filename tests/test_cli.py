@@ -92,15 +92,48 @@ def test_eigen_csv_fields_are_the_library_values(capsys, tmp_path):
     assert lines[1].split(",") == [format_value(v) for v in values]
 
 
-@pytest.mark.parametrize("accuracy", ["-1e-3", "-0.001", "0", "nan"])
+@pytest.mark.parametrize("accuracy", ["-1e-3", "-0.001", "0", "nan", "inf"])
 def test_eigen_negative_accuracy_reaches_the_solver(capsys, tmp_path, accuracy):
     out = tmp_path / "eigen.csv"
     code, stdout, stderr = run(
         capsys, "eigen", "--apex", "0.5,0.4", "--accuracy", accuracy, "--out", str(out)
     )
     assert code == EXIT_USAGE
-    assert (stdout, stderr) == ("", "error: target accuracy must be positive\n")
+    assert (stdout, stderr) == ("", "error: target accuracy must be positive and finite\n")
     assert not out.exists()
+
+
+def _capped_spectrum(bar):
+    """A spectrum that reached the level cap with both eigenvalue bars ``bar``."""
+    return Spectrum(
+        eigenvalues=(53.0, 131.0),
+        error_bounds=(bar, bar),
+        levels=(6, 7),
+        diameter=1.0,
+        xi=78.0,
+        xi_error=2.0 * bar,
+        accuracy_met=False,
+    )
+
+
+@pytest.mark.parametrize(
+    "bar, warning",
+    [
+        (0.1, "warning: requested accuracy not reached at the level cap\n"),
+        (
+            math.inf,
+            "warning: the ladder's rates never entered RATE_WINDOW [2.5, 6.0] "
+            "by the level cap: no error bar\n",
+        ),
+    ],
+    ids=["wide_bar", "no_bar"],
+)
+def test_eigen_warning_says_whether_the_ladder_has_a_bar(capsys, monkeypatch, bar, warning):
+    monkeypatch.setattr(cli, "gap_with_error", lambda *args, **kwargs: _capped_spectrum(bar))
+    code, stdout, stderr = run(capsys, "eigen", "--apex", "0.5,0.4", "--accuracy", "1e-3")
+    assert code == EXIT_OK
+    assert parse_report(stdout)["accuracy_met"] == "false"
+    assert stderr == warning
 
 
 # ---------------------------------------------------------------- sweep
@@ -255,6 +288,30 @@ def test_sweep_resume_rejects_a_radius_its_digits_do_not_give(capsys, tmp_path):
     assert code == EXIT_USAGE
     assert stdout == ""
     assert stderr.startswith(f"error: cannot resume from {out}: radius 0.5 is not")
+    assert out.read_bytes() == edited
+
+
+def test_sweep_resume_rejects_a_radius_its_columns_do_not_give(capsys, tmp_path):
+    out = tmp_path / "cells.csv"
+    code, _, _ = run(
+        capsys, "sweep", *SWEEP_ARGS, "--out", str(out), "--max-rows", "1"
+    )
+    assert code == EXIT_BUDGET
+    # an inflated radius with digits to match: the row's last cell moves no
+    # later cell, so only the radius formula catches it
+    lines = out.read_text().splitlines(keepends=True)
+    fields = lines[-1].split(",")
+    assert fields[1] != "0"
+    fields[8:12] = ["0.0095", "3", "9", format_value(9 * 10.0**-3)]
+    lines[-1] = ",".join(fields)
+    out.write_text("".join(lines))
+    edited = out.read_bytes()
+    code, stdout, stderr = run(
+        capsys, "sweep", *SWEEP_ARGS, "--out", str(out), "--resume"
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert stderr.startswith(f"error: cannot resume from {out}: t_prime 0.0095 is not")
     assert out.read_bytes() == edited
 
 
@@ -413,6 +470,7 @@ def test_sweep_rejects_bad_threads(capsys, tmp_path):
         ("--exclusion-radius", "nan"),
         ("--audit-spacing", "inf"),
         ("--audit-spacing", "nan"),
+        ("--accuracy", "inf"),
     ],
     ids=[
         "threads",
@@ -428,6 +486,7 @@ def test_sweep_rejects_bad_threads(capsys, tmp_path):
         "nan_radius",
         "inf_spacing",
         "nan_spacing",
+        "inf_accuracy",
     ],
 )
 def test_sweep_usage_error_keeps_existing_csv(capsys, tmp_path, bad, resume):

@@ -20,7 +20,6 @@ from trigap.eigensolver import (
     MAX_LEVEL,
     RATE_WINDOW,
     TAIL_SAFETY,
-    THIN_APEX_HEIGHT,
     ConvergenceError,
     EigenPairs,
     Spectrum,
@@ -270,6 +269,8 @@ def test_gap_with_error_validates_inputs():
     # a cap above the memory guard is refused, not clamped
     with pytest.raises(ValueError, match="max_level"):
         gap_with_error(Triangle(0.5, 0.5), 1.0, max_level=MAX_LEVEL + 1)
+    with pytest.raises(ValueError, match="^degenerate triangle, area"):
+        gap_with_error(((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -278,16 +279,27 @@ def test_gap_with_error_validates_inputs():
         lambda: gap_with_error(Triangle(0.5, 0.6), math.nan),
         lambda: SweepPolicy(initial_accuracy=math.nan),
         lambda: gap_grid(2, 2, accuracy=math.nan),
+        lambda: gap_with_error(Triangle(0.5, 0.6), math.inf),
+        lambda: SweepPolicy(initial_accuracy=math.inf),
+        lambda: gap_grid(2, 2, accuracy=math.inf),
     ],
-    ids=["gap_with_error", "sweep_policy", "gap_grid"],
+    ids=[
+        "gap_with_error",
+        "sweep_policy",
+        "gap_grid",
+        "gap_with_error-inf",
+        "sweep_policy-inf",
+        "gap_grid-inf",
+    ],
 )
 def test_nan_target_is_rejected_before_any_solve(make_request, monkeypatch):
-    # one check of a solve request serves the solver, the sweep and the grid
+    # one check of a solve request serves the solver, the sweep and the grid;
+    # an infinite target would stop every ladder at its first level, with no bar
     def no_solve(*args, **kwargs):
         raise AssertionError("solve_triangle called for a rejected request")
 
     monkeypatch.setattr(eigensolver, "solve_triangle", no_solve)
-    with pytest.raises(ValueError, match="^target accuracy must be positive$"):
+    with pytest.raises(ValueError, match="^target accuracy must be positive and finite$"):
         make_request()
 
 
@@ -299,7 +311,6 @@ def test_thin_triangle_flags_unmet_accuracy_at_low_cap():
     assert not spectrum.accuracy_met
     assert spectrum.eigenvalues[0] > 0.0
     assert spectrum.xi > 0.0
-    assert Triangle(0.5, 0.02).apex_y <= THIN_APEX_HEIGHT
 
 
 def test_spectrum_validation():
@@ -511,7 +522,8 @@ def test_thin_gate_ignores_how_vertices_are_given():
         assert r.xi == pytest.approx(results[0].xi, rel=1e-8)
 
 
-def test_thin_ladder_stops_at_the_first_level_past_its_rate_gate(monkeypatch):
+def _record_levels(monkeypatch):
+    """The level values of every ``solve_triangle`` call, as they run."""
     history = []
     solve = eigensolver.solve_triangle
 
@@ -520,19 +532,38 @@ def test_thin_ladder_stops_at_the_first_level_past_its_rate_gate(monkeypatch):
         history.append(solved.values)
         return solved
 
-    def raw_rates(levels):
-        return [(a - b) / (b - c) for a, b, c in zip(*levels[-3:])]
-
     monkeypatch.setattr(eigensolver, "solve_triangle", recording)
+    return history
+
+
+def _raw_rates(levels):
+    """Each eigenvalue's ratio of its last two level differences."""
+    return [(a - b) / (b - c) for a, b, c in zip(*levels[-3:])]
+
+
+def test_thin_ladder_stops_at_the_first_level_past_its_rate_gate(monkeypatch):
+    history = _record_levels(monkeypatch)
     spectrum = gap_with_error(Triangle(0.5, 0.05), 1e3, max_level=9)
-    assert Triangle(0.5, 0.05).apex_y <= THIN_APEX_HEIGHT
     assert spectrum.levels == (8, 9)
     assert all(math.isfinite(e) for e in spectrum.error_bounds)
     assert spectrum.accuracy_met
-    assert raw_rates(history) == pytest.approx([3.06, 3.05], abs=0.01)
+    assert _raw_rates(history) == pytest.approx([3.06, 3.05], abs=0.01)
     # level 8's rates lay outside the window, so its bar was infinite
     lo, hi = RATE_WINDOW
-    assert not all(lo <= r <= hi for r in raw_rates(history[:-1]))
+    assert not all(lo <= r <= hi for r in _raw_rates(history[:-1]))
+
+
+def test_rate_gate_holds_back_a_slow_ladder_above_height_0_05(monkeypatch):
+    # apex height 0.06 converges as slowly as the thin shapes: its raw rates
+    # enter RATE_WINDOW only at level 8, so the first bar is at levels (7, 8)
+    history = _record_levels(monkeypatch)
+    spectrum = gap_with_error(Triangle(0.5, 0.06), 1e6)
+    assert spectrum.levels == (7, 8)
+    assert all(math.isfinite(e) for e in spectrum.error_bounds)
+    assert spectrum.accuracy_met
+    assert _raw_rates(history) == pytest.approx([2.72, 2.72], abs=0.02)
+    lo, hi = RATE_WINDOW
+    assert not all(lo <= r <= hi for r in _raw_rates(history[:-1]))
 
 
 def _geometric_ladder(ratio):
@@ -544,10 +575,11 @@ def _geometric_ladder(ratio):
 
 @pytest.mark.parametrize(
     "apex, ratio, levels",
-    [((0.5, 0.04), 1.7, None), ((0.5, 0.04), 4.0, (5, 6)), ((0.5, 0.6), 1.7, (4, 5))],
+    [((0.5, 0.04), 1.7, None), ((0.5, 0.04), 4.0, (5, 6)), ((0.5, 0.6), 1.7, None)],
     ids=["thin-slow", "thin-second-order", "not-thin-slow"],
 )
 def test_thin_rate_gate_leaves_no_bar(apex, ratio, levels, monkeypatch):
+    # the rate gate reads every ladder, whatever the shape
     values = _geometric_ladder(ratio)
 
     def solve(verts, level, k=2, shift=0.0, start=None):
@@ -563,7 +595,7 @@ def test_thin_rate_gate_leaves_no_bar(apex, ratio, levels, monkeypatch):
         assert spectrum.xi_error == math.inf
         assert not spectrum.accuracy_met
     else:
-        # a thin triangle needs three levels for its rates, others two
+        # three levels are needed for the rates
         assert spectrum.levels == levels
         coarse, fine = values[levels[0]], values[levels[1]]
         assert spectrum.error_bounds == pytest.approx(
@@ -596,6 +628,8 @@ def test_error_bounds_enclose_closed_form_spectra(name, angle, shift, scale, ord
     for cap in range(5, 10):
         spectrum = gap_with_error(vertices, 1e-12, max_level=cap)
         assert spectrum.levels == (cap - 1, cap)
+        # two levels give no rates, so cap 5 has no bar
+        assert (spectrum.xi_error == math.inf) == (cap == 5)
         # levels 8 and 9 are bounded by the observed tail
         assert (spectrum.tail_ratios is not None) == (cap >= 8)
         for lam, err, ref in zip(spectrum.eigenvalues, spectrum.error_bounds, exact):

@@ -144,7 +144,7 @@ def good_cell(**overrides):
         lambda2=131.0,
         xi=78.0,
         A_sum=184.0,
-        t_prime=2.831937e-3,
+        t_prime=0.0028319371304709635,
         n_digits=3,
         d_digit=2,
         t_radius=2e-3,
@@ -201,6 +201,26 @@ def test_cells_from_csv_rejects_a_boolean_that_is_not_true_or_false(field):
     assert cells_from_csv(f"{header}\n{line[:-4]}false\n")[0].accuracy_met is False
     with pytest.raises(ValueError, match="true or false"):
         cells_from_csv(f"{header}\n{line[:-4]}{field}\n")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (dict(t_prime=0.0095, n_digits=3, d_digit=9, t_radius=9 * 10.0**-3), "t_prime"),
+        (dict(A_sum=190.0), "A_sum"),
+        (dict(err=0.5), "t_prime"),
+        (dict(err=8.0), "xi - err"),
+    ],
+    ids=["inflated_radius", "A_sum", "err", "no_margin"],
+)
+def test_cells_from_csv_rejects_a_radius_its_columns_do_not_give(edit, message):
+    # each edited cell keeps the digit invariants, so it builds; only the
+    # radius formula, re-run on load, tells that its columns disagree
+    header = ",".join(CSV_COLUMNS)
+    assert cells_from_csv(f"{header}\n{format_cell_row(good_cell())}\n") == (good_cell(),)
+    line = format_cell_row(good_cell(**edit))
+    with pytest.raises(ValueError, match=f"^{message} "):
+        cells_from_csv(f"{header}\n{line}\n")
 
 
 def test_cell_csv_round_trip():
@@ -570,8 +590,8 @@ def test_cell_records_the_flag_of_the_solve_that_certified_it():
 
 def test_thin_ladder_that_fails_its_rate_gate_certifies_no_cell(monkeypatch):
     # level differences shrink 1.7-fold, far from second order: the ladder's
-    # bar is narrow enough for the digit rule, but a thin triangle's rate
-    # gate leaves it no trusted bar, so the first cell is refused
+    # bar would be narrow enough for the digit rule, but the rate gate
+    # leaves it no trusted bar, so the first cell is refused
     def solve(verts, level, k=2, shift=0.0, start=None):
         tail = 1e-3 * 1.7 ** (5 - level) / 0.7
         return EigenPairs((50.0 + tail, 131.0 + tail), block=np.zeros((1, 5)), iterations=0)
