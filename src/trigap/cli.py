@@ -43,7 +43,9 @@ from .deformation import (
     slope_gap_I_quadrature,
     slope_gap_branch_extremes,
 )
-from .eigensolver import RATE_WINDOW, ConvergenceError, gap_with_error, _check_request
+from .eigensolver import (
+    DEFAULT_MAX_LEVEL, RATE_WINDOW, ConvergenceError, gap_with_error, _check_request,
+)
 from .geometry import EQUILATERAL_APEX, GAP_THRESHOLD, Triangle
 from .lame import distinct_spectrum
 from .sweep import (
@@ -63,7 +65,7 @@ from .sweep import (
     _check_run,
     _check_spacing,
 )
-from .tables import verify_integral_tables
+from .tables import CSV_COLUMNS as TABLE_COLUMNS, verify_integral_tables
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -146,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-level",
         type=int,
-        default=10,
+        default=DEFAULT_MAX_LEVEL,
         help="refinement cap, gap_with_error's default; level 10 at height 0.02 takes about 1 GB",
     )
     p.add_argument("--out", default=None)
@@ -158,7 +160,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=5)
 
     p = sub.add_parser("deform-minimize", help="minimize the first-order gap slope")
-    p.add_argument("--grid", type=int, default=10000)
+    p.add_argument(
+        "--grid", type=int, default=10000, help="directions scanned, endpoints included"
+    )
 
     p = sub.add_parser("deform-slope", help="slope diagnostics for one direction")
     p.add_argument(
@@ -415,9 +419,13 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def cmd_lame_verify(args: argparse.Namespace) -> int:
-    if args.out:
-        _open_out(args.out).close()
-    report = verify_integral_tables()
+    header = ",".join(TABLE_COLUMNS)
+    with _open_csv(args.out, header) if args.out else nullcontext() as out_fh:
+        report = verify_integral_tables()
+        if out_fh is not None:
+            for row in report.rows:
+                values = (row.stated_value, row.computed_value, row.abs_error, row.rel_error)
+                out_fh.write(f"{row.name},{csv_row(values)},{row.status}\n")
     for row in report.flagged:
         print(
             f"{row.name}: {row.status}  stated={format_value(row.stated_value)} "
@@ -429,8 +437,6 @@ def cmd_lame_verify(args: argparse.Namespace) -> int:
     print(f"quadrature converged = {format_value(report.converged)}")
     flagged = [row.name for row in report.flagged]
     print(f"flagged entries = {','.join(flagged) if flagged else 'none'}")
-    if args.out:
-        report.write_csv(args.out)
     return EXIT_OK if report.table_rows_ok and report.converged else EXIT_FAIL
 
 

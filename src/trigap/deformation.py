@@ -7,8 +7,9 @@ triangle, and expanding the associated Laplacian in t yields the
 perturbation operators whose quadratic forms control the first-order
 behavior of the gap.  Specialized to the equilateral triangle (k = sqrt3/2),
 the first-order gap change along any diameter-preserving direction has an
-explicit closed form whose minimum over directions and second-eigenspace
-rotations is strictly positive; that minimum is computed here.
+explicit closed form.  Its minimum over second-eigenspace rotations is
+closed form too, and its minimum over directions lies at an end of the
+diameter-preserving cone; that minimum is strictly positive.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import optimize
 
 from .geometry import EQUILATERAL_APEX
 from .lame import (
@@ -269,6 +269,15 @@ def preserves_diameter(direction: DeformationDirection) -> bool:
     return direction.a >= -1e-12 and direction.a + _SQRT3 * direction.b <= 1e-12
 
 
+def _branch_coefficients(a, b):
+    """(C0, C1, C2) with I = C0 - C1 cos(psi) - C2 sin(psi), psi = 2s - pi/3,
+    along the direction (a, b); a and b may be floats or arrays."""
+    # I = -A1 b + A2 a is affine in (g, h) = (2 cos psi, (2/sqrt3) sin psi)
+    a1_0, _ = _I_coefficients(0.0, 0.0)
+    a1_1, a2_1 = _I_coefficients(1.0, 1.0)
+    return -a1_0 * b, 2.0 * (a1_1 - a1_0) * b, -2.0 / _SQRT3 * a2_1 * a
+
+
 def slope_gap_branch_extremes(
     direction: DeformationDirection,
 ) -> tuple[float, float]:
@@ -277,13 +286,7 @@ def slope_gap_branch_extremes(
     Writing (alpha, beta) = (cos s, sin s) and psi = 2s - pi/3 turns I into
     C0 - C1 cos(psi) - C2 sin(psi), so the extremes are C0 -+ sqrt(C1^2+C2^2).
     """
-    a, b = direction.a, direction.b
-    # I = -A1 b + A2 a is affine in (g, h) = (2 cos psi, (2/sqrt3) sin psi)
-    a1_0, _ = _I_coefficients(0.0, 0.0)
-    a1_1, a2_1 = _I_coefficients(1.0, 1.0)
-    c0 = -a1_0 * b
-    c1 = 2.0 * (a1_1 - a1_0) * b
-    c2 = -2.0 / _SQRT3 * a2_1 * a
+    c0, c1, c2 = _branch_coefficients(direction.a, direction.b)
     radius = math.hypot(c1, c2)
     return (c0 - radius, c0 + radius)
 
@@ -300,61 +303,31 @@ class MinimizeIResult:
         return (25600.0 * math.pi**2 - 236196.0) / (3600.0 * _SQRT3)
 
 
-def _objective_arrays(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # I(s, a) = A1(s) sqrt(1 - a^2) + A2(s) a  with b = -sqrt(1 - a^2).
-    g = np.cos(2.0 * s) + _SQRT3 * np.sin(2.0 * s)
-    h = -np.cos(2.0 * s) + np.sin(2.0 * s) / _SQRT3
-    return _I_coefficients(g, h)
-
-
 def minimize_I(grid: int = 10000) -> MinimizeIResult:
     """Global minimum of I over unit (alpha, beta) and diameter-preserving (a, b).
 
-    Dense separable grid (grid x grid) over the eigenspace angle s and
-    a in [0, sqrt3/2] with b = -sqrt(1 - a^2), refined by local descent.
-    The minimum sits at s = pi/2, a = sqrt3/2 and is strictly positive,
-    which is what makes the equilateral triangle a strict local minimum.
+    Scans ``grid`` directions a in [0, sqrt3/2], both ends included, with
+    b = -sqrt(1 - a^2), and takes each direction's lower branch extreme
+    C0 - sqrt(C1^2 + C2^2) in closed form; its eigenspace angle is
+    s = (atan2(C2, C1) + pi/3)/2, reported mod pi (I is pi-periodic in s).
+    The scan is exact: with b = -sqrt(1 - a^2), I(s, a) = A1(s) sqrt(1 - a^2)
+    + A2(s) a, and A1(s) >= (25600 pi^2 - 118098)/(1800 sqrt3) = 43.16 > 0,
+    so I is concave in a for every s, and so is its minimum over s; that
+    minimum lies at an end of the interval, here a = sqrt3/2 with s = pi/2.
+    It is strictly positive, which is what makes the equilateral triangle a
+    strict local minimum.
     """
-    s = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    if grid < 2:
+        raise ValueError(f"grid must be at least 2 to include both ends, got {grid}")
     a = np.linspace(0.0, EQUILATERAL_HEIGHT, grid)
-    root = np.sqrt(np.clip(1.0 - a * a, 0.0, None))
-    a1, a2 = _objective_arrays(s)
-    best = (math.inf, 0, 0)
-    chunk = 256
-    for lo in range(0, grid, chunk):
-        block = a1[lo : lo + chunk, None] * root[None, :] + a2[
-            lo : lo + chunk, None
-        ] * a[None, :]
-        flat = int(np.argmin(block))
-        value = float(block.flat[flat])
-        if value < best[0]:
-            si, ai = divmod(flat, grid)
-            best = (value, lo + si, ai)
-
-    def objective(x):
-        sv, av = x
-        av = min(max(av, 0.0), EQUILATERAL_HEIGHT)
-        one, two = _objective_arrays(np.asarray([sv]))
-        return float(one[0] * math.sqrt(1.0 - av * av) + two[0] * av)
-
-    start = np.array([s[best[1]], a[best[2]]])
-    refined = optimize.minimize(
-        objective,
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000},
-    )
-    sv = float(refined.x[0])
-    av = float(min(max(refined.x[1], 0.0), EQUILATERAL_HEIGHT))
-    value = objective([sv, av])
-    if value > best[0]:
-        sv, av, value = float(s[best[1]]), float(a[best[2]]), best[0]
-    # the objective is pi-periodic in s (quadratic in the coefficients), so
-    # report the canonical representative with beta = sin(s) >= 0
-    sv = sv % math.pi
+    b = -np.sqrt(1.0 - a * a)
+    c0, c1, c2 = _branch_coefficients(a, b)
+    i = int(np.argmin(c0 - np.hypot(c1, c2)))
+    c0, c1, c2 = float(c0[i]), float(c1[i]), float(c2[i])
+    s = (0.5 * (math.atan2(c2, c1) + math.pi / 3.0)) % math.pi
     return MinimizeIResult(
-        value=value,
-        coeffs=SecondEigenspaceCoeffs(math.cos(sv), math.sin(sv)),
-        direction=DeformationDirection(av, -math.sqrt(1.0 - av * av)),
-        angle_s=sv,
+        value=c0 - math.hypot(c1, c2),
+        coeffs=SecondEigenspaceCoeffs(math.cos(s), math.sin(s)),
+        direction=DeformationDirection(float(a[i]), float(b[i])),
+        angle_s=s,
     )

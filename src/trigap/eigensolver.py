@@ -40,10 +40,14 @@ __all__ = [
     "prolongate",
     "gap_with_error",
     "MAX_LEVEL",
+    "DEFAULT_MAX_LEVEL",
 ]
 
 #: Hard refinement cap (memory guard): 4**12 elements.
 MAX_LEVEL = 12
+
+#: ``gap_with_error``'s level cap when none is given.
+DEFAULT_MAX_LEVEL = 10
 
 _DEGENERATE_AREA = 1e-14
 
@@ -568,10 +572,11 @@ def gap_with_error(triangle, target: float, max_level: int | None = None) -> Spe
     """Eigenvalue pair and gap with an empirical error bound at most ``target``.
 
     Refines until the error estimate on xi meets the target or the level cap
-    (10 when ``max_level`` is None) is reached.  A bar exists only where both
-    eigenvalues' raw rates, the ratios of their last two level differences,
-    lie in RATE_WINDOW, so from level MIN_LEVEL + 2 on; elsewhere the ladder
-    is not in the regime the estimate assumes, and both bars are infinite.
+    (DEFAULT_MAX_LEVEL when ``max_level`` is None) is reached.  A bar exists
+    only where both eigenvalues' raw rates, the ratios of their last two
+    level differences, lie in RATE_WINDOW, so from level MIN_LEVEL + 2 on;
+    elsewhere the ladder is not in the regime the estimate assumes, and both
+    bars are infinite.
     Each level L from MIN_LEVEL + 1 on gives each eigenvalue a Richardson
     value R_L.  Its bar is the observed tail TAIL_SAFETY * |R_L - R_{L-1}| /
     (rho_L - 1), with rho_L = (R_{L-1} - R_{L-2}) / (R_L - R_{L-1}), when
@@ -586,7 +591,7 @@ def gap_with_error(triangle, target: float, max_level: int | None = None) -> Spe
     _check_request(target, max_level)
     verts = _as_vertices(triangle)
     d = diameter(verts)
-    cap = 10 if max_level is None else max_level
+    cap = DEFAULT_MAX_LEVEL if max_level is None else max_level
 
     history: list[tuple[float, float]] = []
     extrapolated: list[tuple[float, float]] = []

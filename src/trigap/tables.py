@@ -20,7 +20,6 @@ Known adjudications carried as extra rows:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -35,7 +34,6 @@ from .lame import (
     _sine_product,
     _third_eigenfunction_printed,
 )
-from .sweep import format_value
 
 __all__ = ["TableRow", "TableReport", "verify_integral_tables", "CSV_COLUMNS"]
 
@@ -96,14 +94,6 @@ class TableReport:
             if r.name == name:
                 return r
         raise KeyError(name)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for r in self.rows:
-                values = (r.stated_value, r.computed_value, r.abs_error, r.rel_error)
-                writer.writerow([r.name, *map(format_value, values), r.status])
 
 
 def _entries() -> list[tuple[str, Callable, float, str, str]]:

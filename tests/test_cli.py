@@ -914,6 +914,20 @@ def test_eigen_failure_after_open_leaves_header_only_csv(capsys, tmp_path, monke
     )
 
 
+def test_lame_verify_failure_after_open_leaves_header_only_csv(tmp_path, monkeypatch):
+    out = tmp_path / "tables.csv"
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("quadrature broke")
+
+    monkeypatch.setattr(cli, "verify_integral_tables", broken)
+    with pytest.raises(RuntimeError):
+        main(["lame-verify", "--out", str(out)])
+    assert out.read_text() == (
+        "integral_name,stated_value,computed_value,abs_error,rel_error,status\n"
+    )
+
+
 # ---------------------------------------------------------------- misc
 
 

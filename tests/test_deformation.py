@@ -1,7 +1,9 @@
 """Tests for the linear deformation theory at the equilateral corner.
 
 Oracles: independent quadrature of every closed form, a dense scan of the
-eigenspace circle, and a finite-difference slope from the eigensolver.
+eigenspace circle, a 2-D scan of I over eigenspace angles and
+diameter-preserving directions, and a finite-difference slope from the
+eigensolver.
 """
 
 import math
@@ -206,6 +208,31 @@ def test_minimize_I_closed_form_and_argmin():
     assert result.coeffs.beta == pytest.approx(1.0, abs=1e-6)
     assert result.direction.a == pytest.approx(SQRT3 / 2.0, abs=1e-6)
     assert result.direction.b == pytest.approx(-0.5, abs=1e-6)
+
+
+def test_minimize_I_matches_a_2d_scan_of_I():
+    # the library scans directions only, which is exact because I is concave
+    # in a for every eigenspace angle; a brute-force scan of I itself over
+    # both variables checks that argument
+    minimum = minimize_I().value
+    angles = np.arange(180) * math.pi / 180.0
+    heights = np.linspace(0.0, SQRT3 / 2.0, 181)
+    samples = [
+        slope_gap_I(
+            SecondEigenspaceCoeffs(math.cos(s), math.sin(s)),
+            DeformationDirection(a, -math.sqrt(1.0 - a * a)),
+        )
+        for s in angles
+        for a in heights
+    ]
+    assert min(samples) >= minimum - 1e-12
+    assert min(samples) == pytest.approx(minimum, abs=1e-3)
+
+
+def test_minimize_I_needs_both_ends_of_the_cone():
+    assert minimize_I(grid=2).value == minimize_I().value
+    with pytest.raises(ValueError):
+        minimize_I(grid=1)
 
 
 def test_minimize_I_positive_everywhere_on_grid():

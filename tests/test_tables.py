@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from trigap.cli import EXIT_OK, main
 from trigap.sweep import format_value
 from trigap.tables import CSV_COLUMNS, TableReport, verify_integral_tables
 
@@ -82,16 +83,18 @@ def test_normalization_rows_ok(report):
             assert row.status == "ok"
 
 
-def test_csv_export(report, tmp_path):
+def test_lame_verify_csv_export(report, tmp_path, capsys):
     out = tmp_path / "tables.csv"
-    report.write_csv(out)
+    assert main(["lame-verify", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
     lines = out.read_text().strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == len(report.rows) + 1
-    # csv.writer's line ends, and every number written by the one formatter
+    # the CLI's line ends, and every number written by the one formatter
     raw = out.read_bytes().decode()
-    assert raw.endswith("\r\n")
-    assert raw.count("\r\n") == raw.count("\n") == len(lines)
+    assert raw.endswith("\n")
+    assert "\r" not in raw
+    assert raw.count("\n") == len(lines)
     for fields, r in zip(csv.reader(lines[1:]), report.rows):
         values = (r.stated_value, r.computed_value, r.abs_error, r.rel_error)
         assert fields == [r.name, *map(format_value, values), r.status]
