@@ -44,7 +44,8 @@ from .deformation import (
     slope_gap_branch_extremes,
 )
 from .eigensolver import (
-    DEFAULT_MAX_LEVEL, RATE_WINDOW, ConvergenceError, gap_with_error, _check_request,
+    DEFAULT_MAX_LEVEL, RATE_WINDOW, ConvergenceError, gap_with_error, ladder_scope,
+    _check_request,
 )
 from .geometry import EQUILATERAL_APEX, GAP_THRESHOLD, Triangle
 from .lame import distinct_spectrum
@@ -161,7 +162,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deform-minimize", help="minimize the first-order gap slope")
     p.add_argument(
-        "--grid", type=int, default=10000, help="directions scanned, endpoints included"
+        "--grid",
+        type=int,
+        default=10000,
+        help="directions scanned, both ends included (at least 2; exact at any count)",
     )
 
     p = sub.add_parser("deform-slope", help="slope diagnostics for one direction")
@@ -393,9 +397,11 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     with _open_csv(args.out, header) if args.out else nullcontext() as out_fh:
         for h, triangle in zip(heights, triangles):
             try:
-                coarse = gap_with_error(triangle, 1e18, max_level=min(7, args.max_level))
-                target = max(args.accuracy * coarse.xi, 1e-6)
-                s = gap_with_error(triangle, target, max_level=args.max_level)
+                # the fine pass continues the coarse pass's ladder
+                with ladder_scope():
+                    coarse = gap_with_error(triangle, 1e18, max_level=min(7, args.max_level))
+                    target = max(args.accuracy * coarse.xi, 1e-6)
+                    s = gap_with_error(triangle, target, max_level=args.max_level)
             except ConvergenceError as exc:
                 print(f"height {h}: solver failure: {exc}", file=sys.stderr)
                 failures += 1
@@ -451,8 +457,6 @@ def cmd_lame_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_deform_minimize(args: argparse.Namespace) -> int:
-    if args.grid < 100:
-        raise ValueError("--grid must be at least 100")
     result = minimize_I(grid=args.grid)
     difference = abs(result.value - result.closed_form_minimum)
     print(f"minimum I = {format_value(result.value)}")

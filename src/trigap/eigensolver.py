@@ -8,7 +8,8 @@ observed tail of the R sequence once it converges at a steady rate and by
 the coarse/fine gap before that, where the raw convergence rate shows
 second order; elsewhere the bound is infinite.  Each level's iteration
 starts from the converged block of the level below, interpolated onto the
-finer lattice.
+finer lattice.  Within a ``ladder_scope``, later calls for the same triangle
+continue its ladder from the last level reached instead of restarting it.
 
 The error bound is empirical (an asymptotic estimate with a safety factor),
 not a mathematically rigorous enclosure; every result carries it as such.
@@ -17,8 +18,11 @@ not a mathematically rigorous enclosure; every result carries it as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -39,6 +43,7 @@ __all__ = [
     "solve_triangle",
     "prolongate",
     "gap_with_error",
+    "ladder_scope",
     "MAX_LEVEL",
     "DEFAULT_MAX_LEVEL",
 ]
@@ -587,52 +592,127 @@ def gap_with_error(triangle, target: float, max_level: int | None = None) -> Spe
     and the sweep certifies from xi - xi_error when that clears its digit
     rule.  Of the shape only the diameter is read here, so the result does
     not depend on how the vertices are given.
+
+    Called alone, the ladder starts at level MIN_LEVEL.  Inside a
+    ``ladder_scope``, a call for the same vertices as the call before, at a
+    target no looser and a cap no lower than the level that call reached,
+    continues that call's ladder and solves only the levels above it; the
+    result is the one a fresh ladder gives, since a level's solve depends
+    only on the vertices, the level, the shift and the block below.
     """
     _check_request(target, max_level)
     verts = _as_vertices(triangle)
-    d = diameter(verts)
     cap = DEFAULT_MAX_LEVEL if max_level is None else max_level
+    slot = _SCOPE.get()
+    if slot and slot[0].continues(verts, target, cap):
+        ladder = slot[0]
+    else:
+        ladder = _Ladder(verts.copy(), diameter(verts))
+        if slot is not None:
+            slot[:] = [ladder]
+    try:
+        return ladder.climb(target, cap)
+    except BaseException:
+        # a ladder cut off mid-level is never continued
+        if slot is not None:
+            slot.clear()
+        raise
 
-    history: list[tuple[float, float]] = []
-    extrapolated: list[tuple[float, float]] = []
-    solves: list[tuple[int, int, int]] = []
+
+@dataclass(eq=False)
+class _Ladder:
+    """``gap_with_error``'s refinement state for one triangle: the level
+    values and Richardson pairs so far, the solve records, the next level
+    with its shift and the Ritz block below it, and the last spectrum with
+    the target it was read against."""
+
+    vertices: np.ndarray
+    diameter: float
+    target: float = math.inf
+    level: int = MIN_LEVEL
+    history: list[tuple[float, float]] = field(default_factory=list)
+    extrapolated: list[tuple[float, float]] = field(default_factory=list)
+    solves: list[tuple[int, int, int]] = field(default_factory=list)
+    shift: float = 0.0
+    block: np.ndarray | None = None
     spectrum: Spectrum | None = None
-    shift = 0.0
-    block = None
-    for level in range(MIN_LEVEL, cap + 1):
+
+    def continues(self, vertices: np.ndarray, target: float, cap: int) -> bool:
+        """Whether a call for these vertices, target and cap would pass
+        every level below ``self.level`` as this ladder did: none met a
+        looser target, and the cap reaches the top one."""
+        same = self.vertices.tobytes() == vertices.tobytes()
+        return same and target <= self.target and cap >= self.level - 1
+
+    def climb(self, target: float, cap: int) -> Spectrum:
+        """Solve the levels up to ``cap`` until xi_error <= target; the last
+        spectrum, its ``accuracy_met`` read against ``target``."""
+        self.target = target
+        if self.spectrum is not None:
+            self.spectrum = replace(self.spectrum, accuracy_met=self.spectrum.xi_error <= target)
+        while self.level <= cap and (self.spectrum is None or not self.spectrum.accuracy_met):
+            self._solve_level()
+        assert self.spectrum is not None
+        return self.spectrum
+
+    def _solve_level(self) -> None:
+        """Solve ``self.level`` and move up one level."""
+        level = self.level
         # only the Ritz block crosses levels: the coarse mesh, system and
         # factor are gone before this level assembles
-        start = None if block is None else prolongate(block, level - 1)
-        solved = solve_triangle(verts, level, k=2, shift=shift, start=start)
-        block = solved.block
-        history.append(solved.values)
-        solves.append((level, block.shape[0], solved.iterations))
-        if len(history) < 2:
-            continue
-        (l1, e1), (l2, e2) = map(_richardson, history[-2], history[-1])
+        start = None if self.block is None else prolongate(self.block, level - 1)
+        solved = solve_triangle(self.vertices, level, k=2, shift=self.shift, start=start)
+        self.level += 1
+        self.block = solved.block
+        self.history.append(solved.values)
+        self.solves.append((level, self.block.shape[0], solved.iterations))
+        if len(self.history) < 2:
+            return
+        (l1, e1), (l2, e2) = map(_richardson, self.history[-2], self.history[-1])
         # seed the next level's factorization just below the first eigenvalue;
         # the 4x error margin keeps K - shift*M positive definite
-        shift = max(0.0, min(l1 - 4.0 * e1, 0.99 * l1))
-        extrapolated.append((l1, l2))
-        (e1, e2), tail_ratios = _tail_bars(extrapolated) or ((e1, e2), None)
-        if not _rates_trusted(history):
+        self.shift = max(0.0, min(l1 - 4.0 * e1, 0.99 * l1))
+        self.extrapolated.append((l1, l2))
+        (e1, e2), tail_ratios = _tail_bars(self.extrapolated) or ((e1, e2), None)
+        if not _rates_trusted(self.history):
             e1 = e2 = math.inf
+        d = self.diameter
         xi_error = d * d * (e1 + e2)
-        spectrum = Spectrum(
+        self.spectrum = Spectrum(
             eigenvalues=(l1, l2),
             error_bounds=(e1, e2),
             levels=(level - 1, level),
             diameter=d,
             xi=gap_function(l1, l2, d),
             xi_error=xi_error,
-            accuracy_met=xi_error <= target,
-            solves=tuple(solves),
+            accuracy_met=xi_error <= self.target,
+            solves=tuple(self.solves),
             tail_ratios=tail_ratios,
         )
-        if spectrum.accuracy_met:
-            break
-    assert spectrum is not None
-    return spectrum
+
+
+#: The innermost ``ladder_scope``'s slot, holding at most its one ladder;
+#: None outside any scope.
+_SCOPE: ContextVar[list[_Ladder] | None] = ContextVar("trigap_ladder_scope", default=None)
+
+
+@contextmanager
+def ladder_scope() -> Iterator[None]:
+    """Let ``gap_with_error`` calls for one triangle continue a single ladder.
+
+    Within the scope, each call continues the ladder of the call before it
+    when ``gap_with_error`` allows, and otherwise starts a fresh ladder that
+    replaces it; only the newest ladder is kept.  The scope lives in a
+    ContextVar, so every thread has its own and needs no lock, and the
+    ladder is dropped when the scope exits.
+    """
+    slot: list[_Ladder] = []
+    token = _SCOPE.set(slot)
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+        slot.clear()
 
 
 def _rates_trusted(history: list[tuple[float, float]]) -> bool:

@@ -35,7 +35,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .eigensolver import ConvergenceError, Spectrum, gap_with_error, _check_request
+from .eigensolver import (
+    ConvergenceError, Spectrum, gap_with_error, ladder_scope, _check_request,
+)
 from .geometry import (
     EXCLUSION_RADIUS,
     GAP_THRESHOLD,
@@ -302,6 +304,7 @@ def truncate_radius(t_prime: float) -> tuple[int, int, float]:
     return (n, d, t_radius)
 
 
+@ladder_scope()
 def _certify_cell(
     j: int,
     i: int,
@@ -310,7 +313,13 @@ def _certify_cell(
     policy: SweepPolicy,
     solver: Solver,
 ) -> CertifiedCell:
-    """Solve, derive the radius, and tighten accuracy until the digit rule holds."""
+    """Solve, derive the radius, and tighten accuracy until the digit rule holds.
+
+    Each call runs its rounds in a ``ladder_scope`` of its own, so a round
+    of ``gap_with_error`` (the default solver, or a hook that calls it)
+    continues the ladder of the round before from the level it reached:
+    every level is solved once per cell.
+    """
     target = policy.initial_accuracy
     for _ in range(ACCURACY_ROUNDS + 1):
         try:
@@ -522,6 +531,9 @@ def run_sweep(
     Rows are walked bottom-up; each row left to right.  Advances that would
     overshoot a window edge land one final cell (or row) on the edge itself,
     which keeps the union of certified discs over the whole rectangle.
+    A cell's accuracy rounds share one refinement ladder (``_certify_cell``):
+    a later round of ``gap_with_error`` solves only the levels above those
+    of the round before, and gives the numbers a fresh ladder would.
 
     A row's height depends only on the seed (first cell) of the row below,
     so the sweep runs as a chain of seeds on a pool of ``threads`` workers.

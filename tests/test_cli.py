@@ -578,6 +578,25 @@ def test_scaling_coarse_pass_keeps_to_the_level_cap(capsys, monkeypatch, max_lev
     assert requested == caps
 
 
+def test_scaling_fine_pass_continues_the_coarse_ladder(capsys, monkeypatch):
+    levels = []
+    solve = eigensolver.solve_triangle
+
+    def counted(*args, **kwargs):
+        levels.append((args[0][2][1], args[1]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "solve_triangle", counted)
+    code, _, _ = run(capsys, "scaling", "--heights", "0.3,0.2", "--max-level", "8")
+    assert code == EXIT_OK
+    # each height's levels run once, upwards from the lowest; the coarse
+    # pass stops at the first bar, levels (5, 6), and the fine pass goes on
+    for h in (0.3, 0.2):
+        mine = [level for height, level in levels if height == h]
+        assert mine == list(range(4, mine[-1] + 1))
+        assert mine[-1] > 6
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -658,9 +677,20 @@ def test_deform_minimize_matches_closed_form(capsys):
 
 
 def test_deform_minimize_rejects_tiny_grid(capsys):
-    code, _, stderr = run(capsys, "deform-minimize", "--grid", "50")
-    assert code == EXIT_USAGE
-    assert "error:" in stderr
+    # minimize_I needs both ends of the scanned interval
+    for grid in ("1", "0"):
+        code, _, stderr = run(capsys, "deform-minimize", "--grid", grid)
+        assert code == EXIT_USAGE
+        assert "error:" in stderr
+
+
+def test_deform_minimize_grid_2_prints_the_default_minimum(capsys):
+    # the minimum lies at an end of the scanned interval, so two directions
+    # find it
+    code, stdout, _ = run(capsys, "deform-minimize", "--grid", "2")
+    assert code == EXIT_OK
+    _, default, _ = run(capsys, "deform-minimize")
+    assert parse_report(stdout)["minimum I"] == parse_report(default)["minimum I"]
 
 
 def test_deform_slope_default_direction(capsys):

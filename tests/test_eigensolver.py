@@ -6,8 +6,10 @@ mass matrix for the unit right triangle, an element-by-element reference
 assembly, and cold-started solves for the warm-started refinement ladder.
 """
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -798,3 +800,122 @@ def test_multigrid_working_set_stays_within_eight_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 8 * block
+
+
+def _levels_solved(monkeypatch):
+    """The level of every ``solve_triangle`` call, as they run."""
+    levels = []
+    solve = eigensolver.solve_triangle
+
+    def counted(*args, **kwargs):
+        levels.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "solve_triangle", counted)
+    return levels
+
+
+@pytest.mark.parametrize(
+    "apex, cap",
+    [((0.5, 0.7), None), ((0.5, 0.8647), 8), ((0.5, 0.06), 7)],
+    ids=["sweep-tighten", "corridor", "infinite-bar"],
+)
+def test_a_scoped_round_continues_the_ladder_of_the_round_before(apex, cap, monkeypatch):
+    levels = _levels_solved(monkeypatch)
+    fresh = gap_with_error(Triangle(*apex), 1e-5, max_level=cap)
+    fresh_levels = levels[:]
+    levels.clear()
+    with eigensolver.ladder_scope():
+        coarse = gap_with_error(Triangle(*apex), 0.25, max_level=cap)
+        first = levels[:]
+        continued = gap_with_error(Triangle(*apex), 1e-5, max_level=cap)
+    # every level is solved once, and the result is the fresh ladder's
+    assert first + levels[len(first):] == fresh_levels == list(range(4, fresh.levels[1] + 1))
+    assert continued == fresh
+    assert continued.solves == fresh.solves
+    assert continued.tail_ratios == fresh.tail_ratios
+    if cap == 7:
+        # no bar at the cap: the second round has nothing left to solve
+        assert coarse.xi_error == continued.xi_error == math.inf
+        assert levels == first
+    else:
+        assert levels[len(first):] == [8]
+
+
+def test_a_round_at_a_reached_cap_solves_nothing_and_reads_the_new_target(monkeypatch):
+    triangle = Triangle(0.5, 0.7)
+    levels = _levels_solved(monkeypatch)
+    with eigensolver.ladder_scope():
+        met = gap_with_error(triangle, 1e-5, max_level=8)
+        solved = len(levels)
+        missed = gap_with_error(triangle, 1e-7, max_level=8)
+        assert len(levels) == solved
+    assert met.levels == missed.levels == (7, 8)
+    assert met.accuracy_met and not missed.accuracy_met
+    assert missed == gap_with_error(triangle, 1e-7, max_level=8)
+
+
+@pytest.mark.parametrize(
+    "second",
+    [((0.5, 0.7), 0.25, 8), ((0.5, 0.7), 1e-7, 7), ((0.5, 0.71), 1e-5, 8)],
+    ids=["looser-target", "lower-cap", "other-vertices"],
+)
+def test_a_scoped_call_its_ladder_cannot_serve_starts_afresh(second, monkeypatch):
+    apex, target, cap = second
+    levels = _levels_solved(monkeypatch)
+    with eigensolver.ladder_scope():
+        gap_with_error(Triangle(0.5, 0.7), 1e-5, max_level=8)
+        levels.clear()
+        spectrum = gap_with_error(Triangle(*apex), target, max_level=cap)
+    assert levels == list(range(4, spectrum.levels[1] + 1))
+    assert spectrum == gap_with_error(Triangle(*apex), target, max_level=cap)
+
+
+def test_calls_outside_a_scope_each_start_at_the_lowest_level(monkeypatch):
+    triangle = Triangle(0.5, 0.7)
+    levels = _levels_solved(monkeypatch)
+    gap_with_error(triangle, 0.25)
+    assert levels == [4, 5, 6, 7]
+    levels.clear()
+    gap_with_error(triangle, 1e-5)
+    assert levels == [4, 5, 6, 7, 8]
+
+
+def test_a_scope_keeps_nothing_once_it_exits(monkeypatch):
+    blocks = []
+    solve = eigensolver.solve_triangle
+
+    def tracked(*args, **kwargs):
+        solved = solve(*args, **kwargs)
+        blocks.append(weakref.ref(solved.block))
+        return solved
+
+    monkeypatch.setattr(eigensolver, "solve_triangle", tracked)
+    with eigensolver.ladder_scope():
+        gap_with_error(Triangle(0.5, 0.7), 0.25)
+        gc.collect()
+        # the top block waits for the next round
+        assert blocks[-1]() is not None
+    gc.collect()
+    assert [ref() for ref in blocks] == [None] * len(blocks)
+    assert eigensolver._SCOPE.get() is None
+
+
+def test_a_round_that_raises_leaves_no_ladder_to_continue(monkeypatch):
+    levels = _levels_solved(monkeypatch)
+    counted = eigensolver.solve_triangle
+
+    def failing_at_8(*args, **kwargs):
+        if args[1] == 8:
+            raise ConvergenceError("level 8")
+        return counted(*args, **kwargs)
+
+    with eigensolver.ladder_scope():
+        gap_with_error(Triangle(0.5, 0.7), 0.25)
+        monkeypatch.setattr(eigensolver, "solve_triangle", failing_at_8)
+        with pytest.raises(ConvergenceError):
+            gap_with_error(Triangle(0.5, 0.7), 1e-5)
+        monkeypatch.setattr(eigensolver, "solve_triangle", counted)
+        levels.clear()
+        gap_with_error(Triangle(0.5, 0.7), 1e-5)
+    assert levels == [4, 5, 6, 7, 8]

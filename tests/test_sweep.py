@@ -5,6 +5,7 @@ import importlib
 import itertools
 import math
 import threading
+from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -979,3 +980,32 @@ def test_real_solver_multigrid_levels_ignore_the_thread_count():
     direct = gap_with_error(Triangle(cell.x, cell.y), target, max_level=None)
     assert (direct.lambda1, direct.lambda2) == (cell.lambda1, cell.lambda2)
     assert (direct.xi, direct.xi_error) == (cell.xi, cell.err)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_level_of_a_cell_is_solved_once_across_its_rounds(threads, monkeypatch):
+    # every cell of this window takes two rounds; the second continues the
+    # first's ladder, so no (apex, level) is solved twice
+    window = SweepWindow(0.5, 0.5005, 0.70, 0.7005)
+    policy = SweepPolicy(initial_accuracy=0.25)
+    solved = []
+    solve = eigensolver.solve_triangle
+
+    def counted(*args, **kwargs):
+        solved.append((tuple(args[0][2]), args[1]))
+        return solve(*args, **kwargs)
+
+    def restarting(triangle, target, max_level):
+        with eigensolver.ladder_scope():
+            return gap_with_error(triangle, target, max_level=max_level)
+
+    monkeypatch.setattr(eigensolver, "solve_triangle", counted)
+    continued = run_sweep(window, policy=policy, threads=threads)
+    assert continued.reason == "complete"
+    assert set(Counter(solved).values()) == {1}
+    cells = len(continued.cells)
+    assert len(solved) == 5 * cells  # levels 4 to 8
+    solved.clear()
+    restarted = run_sweep(window, policy=policy, solver=restarting, threads=threads)
+    assert len(solved) == 9 * cells  # levels 4 to 7, then 4 to 8
+    assert restarted.cells == continued.cells
