@@ -54,22 +54,3 @@ def test_summary_refuses_a_failed_or_missing_run(tmp_path):
     with pytest.raises(ValueError, match="parent_sweep_tighten_2"):
         bench_pairs.summarize(tmp_path, ["sweep_tighten"], [2])
 
-
-def test_pairs_alternate_their_order_and_skip_runs_already_made(tmp_path):
-    log = tmp_path / "order.log"
-    checkouts = {}
-    for side in bench_pairs.SIDES:
-        script = tmp_path / side / "perfbench" / "run.py"
-        script.parent.mkdir(parents=True)
-        script.write_text(
-            "import json, sys\n"
-            f"open({str(log)!r}, 'a').write({side!r} + ' ' + sys.argv[4] + '\\n')\n"
-            "print(json.dumps({'env': {}}))\n"
-            "print(json.dumps({'correct': True}))\n"
-        )
-        checkouts[side] = tmp_path / side
-    runs = tmp_path / "runs"
-    bench_pairs.run_pairs(checkouts, runs, ["analytic"], [1, 2], 1.0)
-    assert log.read_text().split("\n") == ["parent 1", "change 1", "change 2", "parent 2", ""]
-    bench_pairs.run_pairs(checkouts, runs, ["analytic"], [1, 2], 1.0)
-    assert log.read_text().count("\n") == 4

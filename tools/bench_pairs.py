@@ -1,20 +1,19 @@
-"""Alternating benchmark pairs of two checkouts, summarized as a trajectory file.
+"""Summarize alternating benchmark pairs of two checkouts as a trajectory file.
 
-Run from the root of a checkout, with a second checkout of the parent commit
-made by ``git archive`` or ``git clone`` (10 pairs of the four workloads
-take about 27 minutes on 2 vCPUs):
+Pair ``N`` (N = 1..10) runs ``python3 perfbench/run.py --workload W --seed N
+--seconds 15`` for each of the four workloads in a checkout of the parent
+commit and in one of the change, the parent first for odd N and the change
+first for even N, so machine drift falls on both sides alike.  Each run's
+stdout goes to ``<runs-dir>/<side>_<workload>_<N>.txt`` (``side`` is
+``parent`` or ``change``).  Then, from the root of the change's checkout:
 
-    python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --runs-dir ../bench --out BENCH_<parent-short-sha>.json
+    python3 tools/bench_pairs.py --runs-dir DIR \\
+        --out BENCH_<parent-short-sha>.json --label "what the change is"
 
-Pair ``seed`` runs ``python3 perfbench/run.py --workload W --seed seed
---seconds S`` in both checkouts, the parent first for odd seeds and the
-change first for even ones, so machine drift falls on both sides alike.
-Each run's output goes to ``<runs-dir>/<side>_<workload>_<seed>.txt``; a
-run whose file already holds a result is not run again, so a cut session
-resumes.  The summary keeps, per workload and side, every run's end-to-end
-metrics, and their median and quartiles (``statistics.quantiles``, inclusive
-method), and per metric the number of pairs in which the change was better.
+The file keeps, per workload and side, every run's end-to-end metrics, and
+their median and quartiles (``statistics.quantiles``, inclusive method), and
+per metric the number of pairs in which the change was better.  A missing
+or failed run is an error.
 """
 
 from __future__ import annotations
@@ -22,12 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
 WORKLOADS = ("sweep_coarse", "sweep_tighten", "cap_solve", "analytic")
 SIDES = ("parent", "change")
+SEEDS = range(1, 11)
+SECONDS = 15
 #: Each end-to-end metric and whether lower is better.
 LOWER_IS_BETTER = {"setup_s": True, "wall_s": True, "results_per_s": False, "peak_rss_mb": True}
 
@@ -48,29 +48,12 @@ def read_run(path: Path) -> tuple[dict, dict] | None:
     return (json.loads(lines[-2]), result) if result.get("correct") else None
 
 
-def run_pairs(checkouts: dict[str, Path], runs_dir: Path, workloads, seeds, seconds) -> None:
-    runs_dir.mkdir(parents=True, exist_ok=True)
-    for seed in seeds:
-        order = SIDES if seed % 2 else SIDES[::-1]
-        for workload in workloads:
-            for side in order:
-                path = run_file(runs_dir, side, workload, seed)
-                if read_run(path) is not None:
-                    continue
-                command = [
-                    sys.executable, "perfbench/run.py", "--workload", workload,
-                    "--seed", str(seed), "--seconds", str(seconds),
-                ]
-                with path.open("w") as out:
-                    subprocess.run(command, cwd=checkouts[side], stdout=out, check=False)
-
-
 def _spread(values: list[float]) -> dict[str, float]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs_dir: Path, workloads, seeds) -> dict:
+def summarize(runs_dir: Path, workloads=WORKLOADS, seeds=SEEDS) -> dict:
     """Every run's end-to-end metrics with their medians and quartiles, per
     workload and side, and the pairs the change won; a missing or failed
     run raises ValueError."""
@@ -108,24 +91,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--runs-dir", type=Path, required=True, help="where each run's output goes")
+    parser.add_argument("--runs-dir", type=Path, required=True, help="where each run's output is")
     parser.add_argument("--out", type=Path, required=True, help="the trajectory JSON to write")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--label", default="", help="what the change is, for the file")
     args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
-    seeds = range(1, args.pairs + 1)
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    run_pairs(checkouts, args.runs_dir, workloads, seeds, args.seconds)
-    summary = summarize(args.runs_dir, workloads, seeds)
-    command = f"python3 perfbench/run.py --workload W --seed N --seconds {args.seconds:g}"
+    summary = summarize(args.runs_dir)
     record = {
         "change": args.label,
-        "command": command,
+        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {SECONDS}",
         "order": "pair N runs the parent first for odd N, the change first for even N",
         **summary,
     }
