@@ -86,7 +86,8 @@ class InverseMetric:
     D: float
 
     def __post_init__(self) -> None:
-        if self.A <= 0.0 or self.A * self.D - self.B * self.B <= 0.0:
+        # written so that a NaN entry fails too
+        if not (self.A > 0.0 and self.A * self.D - self.B * self.B > 0.0):
             raise ValueError("inverse metric must be positive definite")
 
 
@@ -116,8 +117,11 @@ class SecondEigenspaceCoeffs:
 def _check_no_collapse(k: float, direction: DeformationDirection, t: float) -> None:
     if not k > 0.0:
         raise ValueError("apex height k must be positive")
-    if not t >= 0.0:
-        raise ValueError("deformation magnitude t must be non-negative")
+    # every formula squares t, so t * t must stay finite
+    if not (t >= 0.0 and t * t < math.inf):
+        raise ValueError(
+            f"deformation magnitude t must be non-negative with a finite square, got {t}"
+        )
     if k + t * direction.b <= 0.0:
         raise ValueError(f"deformation collapses the triangle: k + t*b = {k + t * direction.b}")
 

@@ -320,37 +320,19 @@ def third_eigenfunction(x, y, form: str = "validated"):
     raise ValueError("form must be 'validated' or 'printed'")
 
 
-def _five_point_laplacian(f, x, y, center: np.ndarray, h: float):
-    """Five-point Laplacian of f at (x, y), where f takes the values center."""
-    return (
-        np.asarray(f(x + h, y))
-        + np.asarray(f(x - h, y))
-        + np.asarray(f(x, y + h))
-        + np.asarray(f(x, y - h))
-        - 4.0 * center
-    ) / (h * h)
-
-
-def laplacian_residual(f, eigenvalue: float) -> float:
+def laplacian_residual(f: TrigSum, eigenvalue: float) -> float:
     """Relative sup residual of Delta f + eigenvalue f on an interior grid.
 
-    Five-point finite-difference Laplacian sampled on interior points of the
-    equilateral triangle, relative to sup |f|.  The stencil is evaluated at
-    spacing h = 1e-4 and at 2h, and the two are combined as
-    (4 L_h - L_{2h})/3, cancelling the h^2 truncation term; a plain stencil
-    at spacing 1e-4 bottoms out near 5e-5 relative for eigenvalues of size
-    ~200 (truncation ~ lambda^2 h^2 / 12), which would mask the residual of
-    a genuinely wrong candidate only barely larger.  The coarser auxiliary
-    sample (rather than a finer one) keeps the 1/h^2 roundoff amplification
-    at the level of h.
+    The Laplacian is f's own analytic f_xx + f_yy, sampled on interior
+    points of the equilateral triangle, and the residual is taken relative
+    to sup |f| there.  A genuine eigenfunction leaves only roundoff, under
+    1e-13; the printed third eigenfunction leaves about 160.
     """
-    h = 1e-4
-    pts = _interior_points(margin=4.0 * h)
+    pts = _interior_points()
     x, y = pts[:, 0], pts[:, 1]
-    values = np.asarray(f(x, y))
-    lap = _five_point_laplacian(f, x, y, values, h)
-    lap_double = _five_point_laplacian(f, x, y, values, 2.0 * h)
-    resid = (4.0 * lap - lap_double) / 3.0 + eigenvalue * values
+    values = f(x, y)
+    laplacian = f.dx().dx() + f.dy().dy()
+    resid = laplacian(x, y) + eigenvalue * values
     scale = float(np.max(np.abs(values)))
     if scale == 0.0:
         raise ValueError("function vanishes on the sample grid")
@@ -368,7 +350,7 @@ class ThirdEigenfunctionDiagnostic:
 
     @property
     def printed_formula_consistent(self) -> bool:
-        return self.printed_residual < 1e-5 and self.printed_boundary_max < 1e-9
+        return self.printed_residual < 1e-12 and self.printed_boundary_max < 1e-9
 
 
 def diagnose_third_eigenfunction() -> ThirdEigenfunctionDiagnostic:
@@ -383,8 +365,9 @@ def diagnose_third_eigenfunction() -> ThirdEigenfunctionDiagnostic:
     )
 
 
-def _interior_points(margin: float = 1e-3, per_edge: int = 25) -> np.ndarray:
-    """Barycentric interior sample grid of the equilateral triangle."""
+def _interior_points(per_edge: int = 25) -> np.ndarray:
+    """Barycentric interior sample grid of the equilateral triangle: every
+    barycentric coordinate is a positive multiple of 1/per_edge."""
     v = np.asarray(EQUILATERAL_VERTICES)
     pts = []
     for i in range(1, per_edge):
@@ -392,8 +375,6 @@ def _interior_points(margin: float = 1e-3, per_edge: int = 25) -> np.ndarray:
             a = i / per_edge
             b = j / per_edge
             c = 1.0 - a - b
-            if min(a, b, c) * EQUILATERAL_APEX[1] <= margin:
-                continue
             pts.append(a * v[0] + b * v[1] + c * v[2])
     return np.asarray(pts)
 

@@ -28,7 +28,7 @@ import importlib
 import math
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -177,22 +177,33 @@ class SweepPolicy:
 
     def __post_init__(self) -> None:
         _check_request(self.initial_accuracy, self.max_level)
-        if not self.exclusion_radius >= 0.0:
-            raise ValueError("exclusion_radius must be non-negative")
+        _check_exclusion_radius(self.exclusion_radius)
+
+
+def _check_exclusion_radius(radius: float) -> None:
+    """Reject an exclusion radius that is negative, NaN or infinite: an
+    infinite ball would swallow any window and leave nothing to certify."""
+    if not 0.0 <= radius < math.inf:
+        raise ValueError(
+            f"exclusion_radius must be finite and non-negative, got {radius}"
+        )
 
 
 @dataclass(frozen=True)
 class CertifiedCell:
     """One certified grid apex and its radius.
 
-    The truncation invariants t_radius = d 10^-n <= t_prime < (d+1) 10^-n
-    are checked exactly, the second in rational arithmetic; a raw radius
-    t_prime >= 1 must carry the clamp n=1, d=9 (radius 0.9) instead.
-    A_sum is lambda1 + lambda2, and t_prime the conservative radius
-    certification_radius(xi - err, A_sum + err, y); cells_from_csv checks
-    both.  accuracy_met is the certifying spectrum's own flag (see
-    gap_with_error): false when that solve missed its target at the level
-    cap, and the cell was certified from its finite error bar all the same.
+    A cell is made of its place (j, i, x, y) and its solve (lambda1,
+    lambda2, xi, err, accuracy_met) and derives the rest, so that one
+    rule gives every cell's radius: A_sum = lambda1 + lambda2, the
+    conservative radius t_prime = certification_radius(xi - err,
+    A_sum + err, y), and its truncation t_radius = d_digit 10^-n_digits
+    (truncate_radius).  A cell whose xi - err does not exceed the
+    threshold raises ValueError; one whose radius does not truncate
+    raises SweepFailure("radius").  accuracy_met is the certifying
+    spectrum's own flag (see gap_with_error): false when that solve missed
+    its target at the level cap, and the cell was certified from its
+    finite error bar all the same.
     """
 
     j: int
@@ -202,37 +213,29 @@ class CertifiedCell:
     lambda1: float
     lambda2: float
     xi: float
-    A_sum: float
-    t_prime: float
-    n_digits: int
-    d_digit: int
-    t_radius: float
+    A_sum: float = field(init=False)
+    t_prime: float = field(init=False)
+    n_digits: int = field(init=False)
+    d_digit: int = field(init=False)
+    t_radius: float = field(init=False)
     err: float
     accuracy_met: bool
 
     def __post_init__(self) -> None:
-        if not self.xi > GAP_THRESHOLD:
-            raise ValueError(
-                f"cell gap {self.xi} does not exceed the threshold {GAP_THRESHOLD}"
-            )
-        if not self.t_radius > 0.0:
-            raise ValueError("certified radius must be positive")
-        n, d = self.n_digits, self.d_digit
-        if not (1 <= d <= 9 and n >= 1):
-            raise ValueError(f"invalid truncation digits n={n}, d={d}")
-        if self.t_radius != d * 10.0**-n:
-            raise ValueError(f"radius {self.t_radius} is not d*10^-n, n={n}, d={d}")
-        if self.t_prime >= 1.0:
-            truncated = (n, d) == (1, 9)
-        else:
-            low, high = Fraction(d, 10**n), Fraction(d + 1, 10**n)
-            truncated = low <= Fraction(self.t_prime) < high
-        if not truncated:
-            raise ValueError(f"truncation broken: t_prime={self.t_prime}, n={n}, d={d}")
+        if not self.xi - self.err > GAP_THRESHOLD:
+            raise ValueError(f"xi - err does not exceed the threshold {GAP_THRESHOLD}")
+        a_sum = self.lambda1 + self.lambda2
+        t_prime = certification_radius(self.xi - self.err, a_sum + self.err, self.y)
+        derived = (a_sum, t_prime, *truncate_radius(t_prime))
+        for name, value in zip(_DERIVED_FIELDS, derived, strict=True):
+            object.__setattr__(self, name, value)
 
 
 #: CertifiedCell's fields, one per CSV column and in CSV_COLUMNS order.
 _CELL_FIELDS = tuple(f for _, f in zip(CSV_COLUMNS, fields(CertifiedCell), strict=True))
+
+#: The fields a cell derives from the others, in CSV_COLUMNS order.
+_DERIVED_FIELDS = tuple(f.name for f in _CELL_FIELDS if not f.init)
 
 
 @dataclass(frozen=True)
@@ -329,30 +332,13 @@ def _certify_cell(
         err = spectrum.xi_error
         lam1, lam2 = spectrum.eigenvalues
         xi = spectrum.xi
-        a_sum = lam1 + lam2
         if xi - err > GAP_THRESHOLD:
-            t_cons = certification_radius(xi - err, a_sum + err, y)
-            t_opt = certification_radius(xi, a_sum, y)
-            n, d, t_radius = truncate_radius(t_cons)
-            tolerance = 0.5 * 10.0 ** (-(n + 1))
-            spread = t_opt - t_cons
+            cell = CertifiedCell(j, i, x, y, lam1, lam2, xi, err, spectrum.accuracy_met)
+            t_opt = certification_radius(xi, cell.A_sum, y)
+            tolerance = 0.5 * 10.0 ** (-(cell.n_digits + 1))
+            spread = t_opt - cell.t_prime
             if spread <= tolerance:
-                return CertifiedCell(
-                    j=j,
-                    i=i,
-                    x=x,
-                    y=y,
-                    lambda1=lam1,
-                    lambda2=lam2,
-                    xi=xi,
-                    A_sum=a_sum,
-                    t_prime=t_cons,
-                    n_digits=n,
-                    d_digit=d,
-                    t_radius=t_radius,
-                    err=err,
-                    accuracy_met=spectrum.accuracy_met,
-                )
+                return cell
             next_target = max(err * (tolerance / spread) * 0.5, 1e-13)
         else:
             margin = xi - GAP_THRESHOLD
@@ -649,9 +635,10 @@ _PARSE = {"int": int, "float": float, "bool": _parse_bool}
 def cells_from_csv(text: str) -> tuple[CertifiedCell, ...]:
     """Parse cells written by cells_to_csv; invariants re-checked on load.
 
-    A row's A_sum and t_prime must be what its own columns give, exactly:
-    17 significant digits round-trip, and the formula makes no
-    transcendental call.
+    Each cell is built from its row's stored columns, and every derived
+    column (A_sum, t_prime, n, d, t_radius) must equal the cell's own value
+    exactly: 17 significant digits round-trip, and the radius formula makes
+    no transcendental call.  Any disagreement raises ValueError.
     """
     cells: list[CertifiedCell] = []
     for line in text.splitlines():
@@ -661,16 +648,16 @@ def cells_from_csv(text: str) -> tuple[CertifiedCell, ...]:
         parts = line.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise ValueError(f"malformed cell row: {line!r}")
-        values = (_PARSE[f.type](part) for f, part in zip(_CELL_FIELDS, parts))
-        cell = CertifiedCell(*values)
-        where = f"at cell j={cell.j}, i={cell.i}"
-        if cell.A_sum != cell.lambda1 + cell.lambda2:
-            raise ValueError(f"A_sum {cell.A_sum!r} is not lambda1 + lambda2 {where}")
-        if not cell.xi - cell.err > GAP_THRESHOLD:
-            raise ValueError(f"xi - err does not exceed the threshold {GAP_THRESHOLD} {where}")
-        t_prime = certification_radius(cell.xi - cell.err, cell.A_sum + cell.err, cell.y)
-        if cell.t_prime != t_prime:
-            raise ValueError(f"t_prime {cell.t_prime!r} is not the radius {t_prime!r} {where}")
+        row = {f.name: _PARSE[f.type](part) for f, part in zip(_CELL_FIELDS, parts)}
+        where = f"at cell j={row['j']}, i={row['i']}"
+        try:
+            cell = CertifiedCell(**{f.name: row[f.name] for f in _CELL_FIELDS if f.init})
+        except (ValueError, SweepFailure) as exc:
+            raise ValueError(f"{exc} {where}") from exc
+        for column, f in zip(CSV_COLUMNS, _CELL_FIELDS):
+            derived = getattr(cell, f.name)
+            if not f.init and row[f.name] != derived:
+                raise ValueError(f"{column} {row[f.name]!r} is not {derived!r} {where}")
         cells.append(cell)
     return tuple(cells)
 
@@ -709,6 +696,7 @@ def coverage_audit(
     moduli region.  Everything else is reported uncovered.
     """
     _check_spacing(spacing)
+    _check_exclusion_radius(exclusion_radius)
     nx = int(math.floor((window.x1 - window.x0) / spacing + 1e-9)) + 1
     ny = int(math.floor((window.y1 - window.y0) / spacing + 1e-9)) + 1
     xs = window.x0 + spacing * np.arange(nx)

@@ -273,8 +273,8 @@ def test_sweep_resume_rejects_a_radius_its_digits_do_not_give(capsys, tmp_path):
         capsys, "sweep", *SWEEP_ARGS, "--out", str(out), "--max-rows", "1"
     )
     assert code == EXIT_BUDGET
-    # the row's last cell moves no later cell, so only the digit rule
-    # catches an edited radius there
+    # the row's last cell moves no later cell, so only the check of its
+    # derived columns catches an edited radius there
     lines = out.read_text().splitlines(keepends=True)
     fields = lines[-1].split(",")
     assert (fields[1], fields[-1]) != ("0", "true\n")
@@ -287,7 +287,7 @@ def test_sweep_resume_rejects_a_radius_its_digits_do_not_give(capsys, tmp_path):
     )
     assert code == EXIT_USAGE
     assert stdout == ""
-    assert stderr.startswith(f"error: cannot resume from {out}: radius 0.5 is not")
+    assert stderr.startswith(f"error: cannot resume from {out}: t_radius 0.5 is not")
     assert out.read_bytes() == edited
 
 
@@ -312,6 +312,21 @@ def test_sweep_resume_rejects_a_radius_its_columns_do_not_give(capsys, tmp_path)
     assert code == EXIT_USAGE
     assert stdout == ""
     assert stderr.startswith(f"error: cannot resume from {out}: t_prime 0.0095 is not")
+    assert out.read_bytes() == edited
+
+
+def test_sweep_resume_rejects_a_row_whose_radius_underflows(capsys, tmp_path):
+    # y = 1e-200 squares to 0, so the row's own columns give no radius
+    out = tmp_path / "cells.csv"
+    header = ",".join(sweep.CSV_COLUMNS)
+    out.write_text(f"{header}\n0,0,0.5,1e-200,53,131,78,184,0,1,9,0.9,1e-9,true\n")
+    edited = out.read_bytes()
+    code, stdout, stderr = run(
+        capsys, "sweep", *SWEEP_ARGS, "--out", str(out), "--resume"
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert stderr.startswith(f"error: cannot resume from {out}: no positive")
     assert out.read_bytes() == edited
 
 
@@ -471,6 +486,7 @@ def test_sweep_rejects_bad_threads(capsys, tmp_path):
         ("--audit-spacing", "inf"),
         ("--audit-spacing", "nan"),
         ("--accuracy", "inf"),
+        ("--exclusion-radius", "inf"),
     ],
     ids=[
         "threads",
@@ -487,6 +503,7 @@ def test_sweep_rejects_bad_threads(capsys, tmp_path):
         "inf_spacing",
         "nan_spacing",
         "inf_accuracy",
+        "inf_radius",
     ],
 )
 def test_sweep_usage_error_keeps_existing_csv(capsys, tmp_path, bad, resume):
@@ -721,6 +738,8 @@ def test_deform_slope_with_coeffs(capsys):
         ("--dir", "0,-1", "--t", "10"),  # collapses the triangle
         ("--t", "-1e-4"),
         ("--t", "nan"),
+        ("--dir", "0,1", "--t", "inf"),
+        ("--dir", "0,1", "--t", "1e200"),
     ],
 )
 def test_deform_slope_usage_errors(capsys, argv):

@@ -14,6 +14,7 @@ import pytest
 from trigap.deformation import (
     EQUILATERAL_HEIGHT,
     DeformationDirection,
+    InverseMetric,
     SecondEigenspaceCoeffs,
     alpha_bound,
     apply_operator,
@@ -104,6 +105,24 @@ def test_gamma_bounds_are_inverse_metric_eigenvalues():
         assert g.gamma_plus == pytest.approx(float(w[1]), rel=1e-12)
         assert g.spread == pytest.approx(gamma_spread_closed_form(k, d, t), rel=1e-9)
         assert g.gamma_minus <= 1.0 <= g.gamma_plus + 1e-12
+
+
+@pytest.mark.parametrize("t", [math.inf, 1e200, math.nan])
+def test_deformation_rejects_a_magnitude_without_a_finite_square(t):
+    # inf once gave NaN bounds, and 1e200 an OverflowError from squaring
+    for bound in (
+        lambda: inverse_metric(EQUILATERAL_HEIGHT, DeformationDirection(0.0, 1.0), t),
+        lambda: gamma_bounds(EQUILATERAL_HEIGHT, DeformationDirection(0.0, 1.0), t),
+        lambda: alpha_bound(DeformationDirection(0.0, 1.0), t),
+    ):
+        with pytest.raises(ValueError, match="finite square"):
+            bound()
+
+
+def test_inverse_metric_rejects_nan_entries():
+    for entries in ((math.nan, 0.0, 1.0), (1.0, math.nan, 1.0), (1.0, 0.0, math.nan)):
+        with pytest.raises(ValueError, match="positive definite"):
+            InverseMetric(*entries)
 
 
 def test_gamma_spread_shrinks_linearly():

@@ -157,8 +157,7 @@ def test_phi1_product_and_sum_forms_agree():
 
 
 def test_phi1_eigenfunction_residual():
-    resid = laplacian_residual(phi1, LAMBDA1)
-    assert resid < 1e-6  # well under the documented 1e-5 budget
+    assert laplacian_residual(phi1_trigsum(), LAMBDA1) < 1e-12
 
 
 def test_second_basis_residuals_and_boundary():
@@ -166,7 +165,7 @@ def test_second_basis_residuals_and_boundary():
     bx, by = _boundary_points()
     for f in (u, v):
         assert float(np.max(np.abs(f(bx, by)))) < 1e-12
-        assert laplacian_residual(f, LAMBDA2) < 1e-6
+        assert laplacian_residual(f, LAMBDA2) < 1e-12
 
 
 def test_second_basis_orthonormal():
@@ -182,14 +181,14 @@ def test_second_basis_orthonormal():
 def test_third_eigenfunction_residual_and_boundary():
     bx, by = _boundary_points()
     assert float(np.max(np.abs(third_eigenfunction(bx, by)))) < 1e-12
-    assert laplacian_residual(third_eigenfunction, LAMBDA3) < 1e-6
+    assert laplacian_residual(third_eigenfunction_trigsum(), LAMBDA3) < 1e-12
 
 
 def test_printed_third_formula_is_not_an_eigenfunction():
     diag = diagnose_third_eigenfunction()
     assert not diag.printed_formula_consistent
     # the validated replacement is a genuine eigenfunction
-    assert diag.validated_residual < 1e-5
+    assert diag.validated_residual < 1e-12
     assert diag.validated_boundary_max < 1e-9
     # and the printed formula misses by a wide, unambiguous margin
     assert diag.printed_residual > 1.0
@@ -248,4 +247,4 @@ def test_orbit_eigenfunction_is_eigenfunction_for_each_level():
             vals = np.abs(f(*_interior_grid(12)))
             if float(np.max(vals)) < 1e-12:
                 continue  # the symmetric member collapses to zero
-            assert laplacian_residual(f, lam) < 1e-5
+            assert laplacian_residual(f, lam) < 1e-12

@@ -136,6 +136,7 @@ def test_truncate_radius_digit_invariant(t_prime):
 
 
 def good_cell(**overrides):
+    """A cell from its stored fields: its place and its solve."""
     base = dict(
         j=0,
         i=0,
@@ -144,11 +145,6 @@ def good_cell(**overrides):
         lambda1=53.0,
         lambda2=131.0,
         xi=78.0,
-        A_sum=184.0,
-        t_prime=0.0028319371304709635,
-        n_digits=3,
-        d_digit=2,
-        t_radius=2e-3,
         err=1e-9,
         accuracy_met=True,
     )
@@ -156,42 +152,63 @@ def good_cell(**overrides):
     return CertifiedCell(**base)
 
 
+def edited_row(cell=None, **columns):
+    """The CSV text of one cell (good_cell() by default) under a header,
+    with the named columns' fields replaced by the given text."""
+    values = format_cell_row(cell if cell is not None else good_cell()).split(",")
+    for column, text in columns.items():
+        values[CSV_COLUMNS.index(column)] = text
+    return ",".join(CSV_COLUMNS) + "\n" + ",".join(values) + "\n"
+
+
 def test_cell_accepts_consistent_record():
     cell = good_cell()
     assert cell.xi > GAP_THRESHOLD
+    # the five radius columns follow from the stored ones
+    assert cell.A_sum == 184.0
+    assert cell.t_prime == certification_radius(78.0 - 1e-9, 184.0 + 1e-9, 0.4)
+    assert cell.t_prime == 0.0028319371304709635
+    assert (cell.n_digits, cell.d_digit, cell.t_radius) == (3, 2, 2e-3)
+    assert [f.name for f in fields(CertifiedCell) if f.init] == [
+        "j", "i", "x", "y", "lambda1", "lambda2", "xi", "err", "accuracy_met",
+    ]
 
 
 def test_cell_rejects_gap_at_threshold():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="xi - err"):
         good_cell(xi=GAP_THRESHOLD)
+    with pytest.raises(ValueError, match="xi - err"):
+        good_cell(xi=GAP_THRESHOLD + 1e-3, err=1e-3)
 
 
 def test_cell_rejects_broken_truncation():
-    with pytest.raises(ValueError):
-        good_cell(t_prime=0.031, n_digits=3, d_digit=2, t_radius=2e-3)
-    with pytest.raises(ValueError):
-        good_cell(d_digit=0)
-    with pytest.raises(ValueError):
-        good_cell(t_radius=-1e-3)
+    # a built cell cannot break its truncation, so the broken ones come
+    # from CSV text
+    for edit in (
+        dict(t_prime="0.031"),
+        dict(d="0", t_radius="0"),
+        dict(t_radius="-0.001"),
+    ):
+        with pytest.raises(ValueError, match="is not"):
+            cells_from_csv(edited_row(**edit))
 
 
 @pytest.mark.parametrize("t_radius", [0.5, 3e-3, 2e-2, 2.0000000000000004e-3])
 def test_cell_rejects_a_radius_its_digits_do_not_give(t_radius):
-    with pytest.raises(ValueError, match="d\\*10\\^-n"):
-        good_cell(t_radius=t_radius)
-    # nor does such a cell load from CSV text
-    text = cells_to_csv([good_cell()]).replace(",0.002,", f",{t_radius!r},")
-    with pytest.raises(ValueError):
-        cells_from_csv(text)
+    with pytest.raises(ValueError, match=f"^t_radius {t_radius!r} is not 0.002 "):
+        cells_from_csv(edited_row(t_radius=repr(t_radius)))
 
 
 def test_cell_clamp_needs_the_clamped_digits():
-    clamped = good_cell(t_prime=1.5, n_digits=1, d_digit=9, t_radius=0.9)
-    assert clamped.t_radius == truncate_radius(1.5)[2]
-    with pytest.raises(ValueError, match="truncation broken"):
-        good_cell(t_prime=1.5, n_digits=2, d_digit=9, t_radius=9e-2)
-    with pytest.raises(ValueError, match="truncation broken"):
-        good_cell(t_prime=1.5, n_digits=1, d_digit=5, t_radius=0.5)
+    # a raw radius of 1 or more clamps to 0.9
+    clamped = good_cell(y=0.9, xi=700.0)
+    assert clamped.t_prime >= 1.0
+    assert (clamped.n_digits, clamped.d_digit, clamped.t_radius) == (1, 9, 0.9)
+    assert cells_from_csv(edited_row(clamped)) == (clamped,)
+    with pytest.raises(ValueError, match="^n 2 is not 1 "):
+        cells_from_csv(edited_row(clamped, n="2", t_radius="0.09"))
+    with pytest.raises(ValueError, match="^d 5 is not 9 "):
+        cells_from_csv(edited_row(clamped, d="5", t_radius="0.5"))
 
 
 @pytest.mark.parametrize("field", ["True", "yes", "1", "", "flase"])
@@ -207,21 +224,27 @@ def test_cells_from_csv_rejects_a_boolean_that_is_not_true_or_false(field):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (dict(t_prime=0.0095, n_digits=3, d_digit=9, t_radius=9 * 10.0**-3), "t_prime"),
-        (dict(A_sum=190.0), "A_sum"),
-        (dict(err=0.5), "t_prime"),
-        (dict(err=8.0), "xi - err"),
+        (dict(t_prime="0.0095", n="3", d="9", t_radius="0.009"), "t_prime 0.0095 is not"),
+        (dict(A_sum="190"), "A_sum 190.0 is not 184.0"),
+        (dict(err="0.5"), "t_prime 0.0028319371304709635 is not"),
+        (dict(err="8"), "xi - err does not exceed"),
+        (dict(t_prime="0.0028319371304709639"), "t_prime 0.002831937130470964 is not"),
+        (dict(n="4"), "n 4 is not 3"),
+        (dict(d="3"), "d 3 is not 2"),
+        (dict(t_radius="0.0030000000000000001"), "t_radius 0.003 is not 0.002"),
+        (dict(y="1e-200", t_prime="0", n="1", d="9", t_radius="0.9"), "no positive"),
     ],
-    ids=["inflated_radius", "A_sum", "err", "no_margin"],
+    ids=[
+        "inflated_radius", "A_sum", "err", "no_margin",
+        "t_prime", "n", "d", "t_radius", "underflow",
+    ],
 )
 def test_cells_from_csv_rejects_a_radius_its_columns_do_not_give(edit, message):
-    # each edited cell keeps the digit invariants, so it builds; only the
-    # radius formula, re-run on load, tells that its columns disagree
-    header = ",".join(CSV_COLUMNS)
-    assert cells_from_csv(f"{header}\n{format_cell_row(good_cell())}\n") == (good_cell(),)
-    line = format_cell_row(good_cell(**edit))
-    with pytest.raises(ValueError, match=f"^{message} "):
-        cells_from_csv(f"{header}\n{line}\n")
+    # each row is built from its stored columns, and every derived column
+    # must be what they give
+    assert cells_from_csv(edited_row()) == (good_cell(),)
+    with pytest.raises(ValueError, match=f"^{message}.* at cell j=0, i=0$"):
+        cells_from_csv(edited_row(**edit))
 
 
 def test_cell_csv_round_trip():
@@ -844,14 +867,17 @@ def test_audit_fails_with_no_cells():
 
 def test_audit_single_cell_covers_tiny_window():
     window = SweepWindow(0.5, 0.501, 0.4, 0.401)
-    cell = good_cell(x=0.5005, y=0.4005, t_prime=0.00234, n_digits=3, d_digit=2)
+    cell = good_cell(x=0.5005, y=0.4005)
+    assert cell.t_radius == 2e-3
     report = coverage_audit([cell], window, spacing=1e-4)
     assert report.passed
 
 
 def test_audit_detects_hole():
     window = SweepWindow(0.5, 0.501, 0.4, 0.401)
-    cell = good_cell(x=0.5, y=0.4, t_prime=0.0008, n_digits=4, d_digit=8, t_radius=8e-4)
+    # a gap margin of 2.35 gives the radius 8e-4
+    cell = good_cell(x=0.5, y=0.4, xi=GAP_THRESHOLD + 2.35)
+    assert cell.t_radius == 8e-4
     report = coverage_audit([cell], window, spacing=1e-4)
     assert not report.passed
     # the far corner is outside the certified disc
@@ -863,6 +889,16 @@ def test_audit_rejects_bad_spacing():
     for spacing in (0.0, -1e-4, math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and positive"):
             coverage_audit([], WINDOW, spacing=spacing)
+
+
+@pytest.mark.parametrize("radius", [-1e-4, math.inf, math.nan])
+def test_policy_and_audit_reject_a_bad_exclusion_radius(radius):
+    # an infinite ball would swallow the window: no cells, and every
+    # lattice point counted as covered
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        SweepPolicy(exclusion_radius=radius)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        coverage_audit([], WINDOW, exclusion_radius=radius)
 
 
 @pytest.mark.parametrize("radius", [1e-4, 1e-3])
